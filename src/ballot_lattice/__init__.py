@@ -12,6 +12,7 @@ from .checks import (
     check_remark1,
     is_join_semilattice,
     is_modular,
+    relation_claims,
 )
 from .election import (
     ElectionProfile,

@@ -9,7 +9,7 @@ element set that can be replayed against the base predicates in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Mapping
 
 from .order import (
     OrderRelation,
@@ -32,6 +32,7 @@ __all__ = [
     "is_join_semilattice",
     "is_modular",
     "check_remark1",
+    "relation_claims",
 ]
 
 HOLDS = "holds"
@@ -73,6 +74,31 @@ class ClaimReport:
             "verdict": self.verdict,
             "witness": self.witness,
         }
+
+    def relabeled(self, phi: Mapping[str, str], subject: str) -> "ClaimReport | None":
+        """This report carried to an isomorphic relation, or None.
+
+        ``phi`` maps each candidate of this report's relation to its image
+        under an isomorphism onto the other relation; verdicts carry over
+        unchanged.  Set-valued ``elements`` are mapped and re-sorted.  R1.2's
+        ``not_totally_ordered`` pair is the first strictly incomparable pair
+        in label order; on a ballot relation both members sit in the tied
+        tail, so the pair maps as is when ``phi`` keeps the label order
+        there, as the positional bijection between two ballots of one shape
+        does.  Any other witness (a T1 or P1 pair or triple) is chosen by
+        label order across the whole relation, so None is returned and the
+        caller evaluates the other relation directly.
+        """
+        witness = self.witness
+        if witness is not None:
+            if witness["kind"] == "not_totally_ordered":
+                witness = {**witness, "pair": [phi[c] for c in witness["pair"]]}
+            elif "elements" in witness:
+                elements = sorted(phi[c] for c in witness["elements"])
+                witness = {**witness, "elements": elements}
+            else:
+                return None
+        return ClaimReport(self.claim, subject, self.verdict, witness)
 
 
 def is_join_semilattice(r: OrderRelation, subject: str | None = None) -> ClaimReport:
@@ -229,3 +255,9 @@ def check_remark1(r: OrderRelation, subject: str | None = None) -> list[ClaimRep
             )
         )
     return out
+
+
+def relation_claims(r: OrderRelation, subject: str | None = None) -> list[ClaimReport]:
+    """Claims T1, P1 and R1.1 through R1.4 on one relation, in that order."""
+    subject = subject or r.digest()
+    return [is_join_semilattice(r, subject), is_modular(r, subject), *check_remark1(r, subject)]

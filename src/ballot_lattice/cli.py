@@ -12,7 +12,7 @@ import os
 import sys
 from itertools import combinations
 
-from .checks import check_remark1, is_join_semilattice, is_modular
+from .checks import relation_claims
 from .election import (
     load_profile,
     tabulate_irv,
@@ -25,6 +25,7 @@ from .enumeration import (
     exhaustive_verify,
 )
 from .order import (
+    _check_token,
     covers,
     atoms,
     coatoms,
@@ -86,11 +87,31 @@ def _check_n(n: int) -> int:
     return n
 
 
-def _split_ids(raw: str) -> list[str]:
-    items = [piece.strip() for piece in raw.split(",")]
-    if any(not item for item in items):
-        raise ValueError(f"malformed comma-separated list {raw!r}")
-    return items
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _universe(args) -> list[str] | None:
+    """The ``--candidates`` universe, validated before any input is read."""
+    if not args.candidates:
+        return None
+    try:
+        return [_check_token(piece.strip()) for piece in args.candidates.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"--candidates: {exc}") from None
+
+
+def _lengths(raw: str) -> list[int]:
+    try:
+        return [int(piece) for piece in raw.split(",")]
+    except ValueError:
+        raise ValueError(f"--lengths: expected comma-separated integers, got {raw!r}") from None
 
 
 def _emit(payload: dict, args, render_text) -> None:
@@ -101,15 +122,11 @@ def _emit(payload: dict, args, render_text) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    universe = _split_ids(args.candidates) if args.candidates else None
+    universe = _universe(args)
     ballot = parse_ballot(args.ballot, universe)
     rel = relation_of(ballot)
     text = format_ballot(ballot)
-    reports = [
-        is_join_semilattice(rel, text),
-        is_modular(rel, text),
-        *check_remark1(rel, text),
-    ]
+    reports = relation_claims(rel, text)
     payload = {
         "ballot": text,
         "candidates": list(rel.candidates),
@@ -200,7 +217,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_theorem3(args) -> int:
-    universe = _split_ids(args.candidates) if args.candidates else None
+    universe = _universe(args)
     ballot = parse_ballot(args.ballot, universe)
     record = pair_record(ballot)
     if args.all_subsets:
@@ -266,7 +283,7 @@ def _cmd_theorem3(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    universe = _split_ids(args.candidates) if args.candidates else None
+    universe = _universe(args)
     ballot = parse_ballot(args.ballot, universe)
     witness = concave_witness(ballot)
     utilities = witness.utilities()
@@ -295,7 +312,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_tabulate(args) -> int:
-    universe = _split_ids(args.candidates) if args.candidates else None
+    universe = _universe(args)
     profile = load_profile(args.input, candidates=universe)
     result = tabulate_irv(profile)
     payload = result.to_dict()
@@ -314,9 +331,9 @@ def _cmd_tabulate(args) -> int:
 
 
 def _cmd_truncate(args) -> int:
-    universe = _split_ids(args.candidates) if args.candidates else None
+    universe = _universe(args)
     profile = load_profile(args.input, candidates=universe)
-    lengths = [int(piece) for piece in _split_ids(args.lengths)]
+    lengths = _lengths(args.lengths)
     report = truncation_experiment(profile, lengths)
     payload = report.to_dict()
 
@@ -349,7 +366,7 @@ def _build_parser() -> _Parser:
 
     sub = add("verify", _cmd_verify, "exhaustively verify all claims on n candidates")
     sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--trials", type=int, default=1000, help="concavity samples per ballot")
+    sub.add_argument("--trials", type=_positive_int, default=1000, help="concavity samples per ballot")
 
     sub = add("enumerate", _cmd_enumerate, "list the full ballot census on n candidates")
     sub.add_argument("--n", type=int, required=True)
@@ -364,7 +381,7 @@ def _build_parser() -> _Parser:
     sub = add("witness", _cmd_witness, "spatial witness and concavity check for one ballot")
     sub.add_argument("--ballot", required=True)
     sub.add_argument("--candidates", help="comma-separated candidate universe")
-    sub.add_argument("--trials", type=int, default=1000)
+    sub.add_argument("--trials", type=_positive_int, default=1000)
 
     sub = add("tabulate", _cmd_tabulate, "instant-runoff tabulation of a CSV profile")
     sub.add_argument("--input", required=True, help="profile CSV path")

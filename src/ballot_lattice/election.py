@@ -18,11 +18,12 @@ from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .checks import check_remark1, is_join_semilattice, is_modular
+from .checks import ClaimReport, relation_claims
 from .enumeration import enumerate_ballots
 from .order import (
     MAX_RELATION_CANDIDATES,
     RankedBallot,
+    _check_token,
     format_ballot,
     is_complete,
     is_top_truncated,
@@ -114,8 +115,10 @@ def load_profile(
     """
     if fmt != "csv":
         raise ValueError(f"unsupported profile format {fmt!r}")
+    universe = None if candidates is None else {_check_token(c) for c in candidates}
     rows: list[tuple[int, str, list[str]]] = []
-    with Path(path).open(newline="", encoding="utf-8") as handle:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
+    with Path(path).open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -154,15 +157,13 @@ def load_profile(
     if not rows:
         raise ProfileError("no ballots in file")
 
-    mentioned = {c for _, _, ranked in rows for c in ranked}
-    if candidates is not None:
-        universe = set(candidates)
+    if universe is not None:
         for line, _, ranked in rows:
             stray = [c for c in ranked if c not in universe]
             if stray:
                 raise ProfileError(f"unknown candidate {stray[0]!r}", line)
     else:
-        universe = mentioned
+        universe = {c for _, _, ranked in rows for c in ranked}
     if len(universe) < 3:
         raise ProfileError(f"fewer than 3 candidates overall (got {len(universe)})")
 
@@ -302,18 +303,40 @@ def truncation_experiment(
     return TruncationReport(results, divergence)
 
 
+def _order_block(ballot: RankedBallot, subject: str) -> tuple[dict, list[ClaimReport], str]:
+    """Order flags, relation claims and rationalizability class of one ballot."""
+    rel = relation_of(ballot)
+    flags = {
+        "is_top_truncated": is_top_truncated(rel),
+        "is_complete": is_complete(rel),
+        "is_total": is_total(rel),
+    }
+    cls = rationalizability_class(canonical_utility(ballot), pair_record(ballot))
+    return flags, relation_claims(rel, subject), cls
+
+
 def profile_report(profile: ElectionProfile) -> dict:
     """Per-ballot structural summaries plus aggregate ranking statistics.
 
     Ballots are grouped by identical content.  Order-level checks are
     skipped with a note when the candidate universe exceeds the relation
     cap; tabulation itself has no such cap.
+
+    The order-level results depend only on a ballot's shape (ranked count,
+    unranked count), so they are evaluated on the first ballot of each
+    shape and carried to the shape's other ballots by the positional
+    bijection: i-th ranked candidate to i-th ranked candidate, and the
+    unranked candidates across in sorted order.  That is an isomorphism of
+    the induced relations which keeps label order inside the tied tail.  A
+    claim whose witness cannot be carried over (see
+    :meth:`ClaimReport.relabeled`) sends that ballot to direct evaluation.
     """
     n = len(profile.candidates)
     groups: dict[RankedBallot, list[str]] = {}
     for voter, ballot in profile.ballots:
         groups.setdefault(ballot, []).append(voter)
 
+    shapes: dict[tuple[int, int], tuple[RankedBallot, dict, list[ClaimReport], str]] = {}
     entries = []
     total_ranked = 0
     for ballot, voters in sorted(groups.items(), key=lambda kv: format_ballot(kv[0])):
@@ -326,23 +349,21 @@ def profile_report(profile: ElectionProfile) -> dict:
             "ranked_fraction": str(Fraction(len(ballot.ranked), n)),
         }
         if n <= MAX_RELATION_CANDIDATES:
-            rel = relation_of(ballot)
-            entry["order"] = {
-                "is_top_truncated": is_top_truncated(rel),
-                "is_complete": is_complete(rel),
-                "is_total": is_total(rel),
-            }
-            entry["claims"] = [
-                report.to_dict()
-                for report in (
-                    is_join_semilattice(rel, text),
-                    is_modular(rel, text),
-                    *check_remark1(rel, text),
-                )
-            ]
-            entry["rationalizability"] = rationalizability_class(
-                canonical_utility(ballot), pair_record(ballot)
-            )
+            shape = (len(ballot.ranked), len(ballot.unranked))
+            claims = None
+            if shape in shapes:
+                source, flags, source_claims, cls = shapes[shape]
+                phi = dict(zip(source.ranked, ballot.ranked))
+                phi.update(zip(sorted(source.unranked), sorted(ballot.unranked)))
+                claims = [report.relabeled(phi, text) for report in source_claims]
+                if any(report is None for report in claims):
+                    claims = None
+            if claims is None:
+                flags, claims, cls = _order_block(ballot, text)
+                shapes.setdefault(shape, (ballot, flags, claims, cls))
+            entry["order"] = dict(flags)
+            entry["claims"] = [report.to_dict() for report in claims]
+            entry["rationalizability"] = cls
         else:
             entry["order"] = {
                 "skipped": (

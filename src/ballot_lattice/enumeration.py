@@ -19,9 +19,7 @@ from .checks import (
     FAILS,
     HOLDS,
     VACUOUS,
-    check_remark1,
-    is_join_semilattice,
-    is_modular,
+    relation_claims,
 )
 from .order import RankedBallot, format_ballot, relation_of
 from .representation import (
@@ -257,11 +255,7 @@ def exhaustive_verify(
         subject = format_ballot(ballot)
         rel = relation_of(ballot)
 
-        report = is_join_semilattice(rel, subject)
-        stats["T1"].record(report.verdict, subject, report.witness)
-        report = is_modular(rel, subject)
-        stats["P1"].record(report.verdict, subject, report.witness)
-        for report in check_remark1(rel, subject):
+        for report in relation_claims(rel, subject):
             stats[report.claim].record(report.verdict, subject, report.witness)
 
         util = canonical_utility(ballot)

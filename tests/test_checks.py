@@ -1,17 +1,23 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from ballot_lattice import (
     ClaimReport,
     OrderRelation,
+    RankedBallot,
     atoms,
     check_remark1,
     enumerate_ballots,
+    is_complete,
     is_join_semilattice,
     is_modular,
+    is_top_truncated,
+    is_total,
     join,
     join_irreducibles,
     meet_irreducibles,
     parse_ballot,
+    relation_claims,
     relation_of,
 )
 
@@ -152,3 +158,56 @@ class TestClaimReport:
             "witness": {"pair": ["a", "b"]},
         }
         assert not report.ok
+
+
+def relabeled_ballot_strategy(max_n=8):
+    """A ballot plus a random relabeling of its candidates."""
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.tuples(
+            st.permutations("abcdefgh"[:n]), st.integers(1, n), st.permutations("abcdefgh"[:n])
+        )
+    )
+
+
+class TestRelationClaims:
+    def test_bundle_order(self, deep_relation):
+        reports = relation_claims(deep_relation, "s")
+        assert [r.claim for r in reports] == ["T1", "P1", "R1.1", "R1.2", "R1.3", "R1.4"]
+        assert reports == [
+            is_join_semilattice(deep_relation, "s"),
+            is_modular(deep_relation, "s"),
+            *check_remark1(deep_relation, "s"),
+        ]
+
+    @given(relabeled_ballot_strategy())
+    def test_relabeling_equivariance(self, drawn):
+        order, k, image = drawn
+        sigma = dict(zip(sorted(order), image))
+        ballot = RankedBallot(tuple(order[:k]), frozenset(order[k:]))
+        moved = RankedBallot(
+            tuple(sigma[c] for c in ballot.ranked), frozenset(sigma[c] for c in ballot.unranked)
+        )
+        r, s = relation_of(ballot), relation_of(moved)
+        for flag in (is_top_truncated, is_complete, is_total):
+            assert flag(r) == flag(s)
+        before, after = relation_claims(r, "x"), relation_claims(s, "x")
+        assert [(a.claim, a.verdict) for a in before] == [(b.claim, b.verdict) for b in after]
+        for a, b in zip(before, after):
+            if a.witness is not None and "elements" in a.witness:
+                elements = sorted(sigma[c] for c in a.witness["elements"])
+                assert b.witness == {**a.witness, "elements": elements}
+
+    def test_relabeled_onto_a_ballot_of_the_same_shape(self, deep_relation):
+        # positional map from x>y>z>a~b~c~d: ranked by place, tail in sorted order
+        target = relation_of(parse_ballot("d>a>x>b~c~y~z"))
+        phi = dict(zip("xyzabcd", "daxbcyz"))
+        reports = relation_claims(deep_relation, "s")
+        assert [r.relabeled(phi, "t") for r in reports] == relation_claims(target, "t")
+
+    def test_relabeled_declines_label_chosen_witnesses(self):
+        antichain = relation("abc", [])
+        phi = dict(zip("abc", "cab"))
+        assert is_join_semilattice(antichain).relabeled(phi, "t") is None
+        tied_top = relation("abc", [("a", "c"), ("b", "c"), ("a", "b"), ("b", "a")])
+        assert is_modular(tied_top).verdict == "fails"
+        assert is_modular(tied_top).relabeled(phi, "t") is None

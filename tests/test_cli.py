@@ -1,6 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from ballot_lattice import fixture_path
 from ballot_lattice.cli import main
@@ -176,6 +179,16 @@ class TestWitness:
         )
         assert json.loads(out)["concavity"]["trials"] == 25
 
+    @pytest.mark.parametrize(
+        "command", [["witness", "--ballot", "p>q"], ["verify", "--n", "3"]], ids=["witness", "verify"]
+    )
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_non_positive_trials_rejected(self, capsys, command, trials):
+        code, out, err = run_cli(capsys, *command, "--trials", trials, "--format", "json")
+        assert code == 1 and out == ""
+        assert err.startswith("error: argument --trials: must be at least 1")
+        assert err.count("\n") == 1
+
     def test_text(self, capsys):
         code, out, _ = run_cli(capsys, "witness", "--ballot", "g>a~b")
         assert code == 0
@@ -207,6 +220,13 @@ class TestTabulate:
         code, _, err = run_cli(capsys, "tabulate", "--input", str(path))
         assert code == 1 and "line 2" in err
 
+    def test_invalid_candidates_flag_is_blamed_on_the_flag(self, capsys):
+        code, _, err = run_cli(
+            capsys, "tabulate", "--input", str(fixture_path()), "--candidates", "a,b,c,d-e"
+        )
+        assert code == 1 and err.count("\n") == 1
+        assert err.startswith("error: --candidates: invalid candidate id 'd-e'")
+
 
 class TestTruncate:
     def test_fixture_experiment(self, capsys):
@@ -232,6 +252,13 @@ class TestTruncate:
         )
         assert code == 1 and "outside" in err
 
+    def test_non_integer_lengths_name_the_flag(self, capsys):
+        code, _, err = run_cli(
+            capsys, "truncate", "--input", str(fixture_path()), "--lengths", "1,x"
+        )
+        assert code == 1 and err.count("\n") == 1
+        assert err.startswith("error: --lengths:") and "int()" not in err
+
 
 class TestHarness:
     def test_unknown_flag_rejected(self, capsys):
@@ -254,6 +281,35 @@ class TestHarness:
             _, out, _ = run_cli(capsys, "verify", "--n", "3", "--format", "json", "--trials", "100")
             outputs.append(out)
         assert outputs[2] == outputs[3]
+
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            (
+                ["analyze", "--ballot", "x>y>z>a~b~c~d"],
+                "fed7c121cb6f3a9caeb587a9d5a23788e907022a41fb7b7882758cd9efd000d3",
+            ),
+            (
+                ["analyze", "--ballot", "c>a>b>d"],
+                "d8a00929837004db9fb0edd2e9118d7cf711d6192cbbc5784ba7d0b8ca081653",
+            ),
+            (
+                ["analyze", "--ballot", "b", "--candidates", "a,b,c,d,e"],
+                "6c7c5cfaf5387e3bdfc76bdb7d16b66b6d1062a0ad4603f5c6b665da17c1df17",
+            ),
+            (
+                ["verify", "--n", "4"],
+                "da7dfc62fab647a7ffe67a7e0800dbf7453c9b6965e3cdfa347db078c31e22da",
+            ),
+        ],
+        ids=["analyze-tied-tail", "analyze-total", "analyze-universe", "verify-n4"],
+    )
+    def test_json_bytes_are_pinned(self, capsys, argv, sha256):
+        # Digests of the JSON output before the claim bundle was shared;
+        # refactors must leave every byte in place.
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
     def test_module_entry_point(self):
         proc = subprocess.run(

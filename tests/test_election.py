@@ -9,15 +9,29 @@ from ballot_lattice import (
     ElectionProfile,
     ProfileError,
     RankedBallot,
+    canonical_utility,
+    check_remark1,
+    default_candidates,
+    enumerate_ballots,
     find_truncation_sensitive_profile,
     fixture_path,
     format_ballot,
+    is_complete,
+    is_join_semilattice,
+    is_modular,
+    is_top_truncated,
+    is_total,
     load_profile,
+    pair_record,
+    parse_ballot,
     profile_report,
+    rationalizability_class,
+    relation_of,
     tabulate_irv,
     truncate_ballot,
     truncation_experiment,
 )
+from ballot_lattice import checks
 
 
 def ballot_over(universe, ranked):
@@ -31,6 +45,14 @@ def profile_of(universe, *rankings):
             (f"v{i + 1}", ballot_over(universe, ranked))
             for i, ranked in enumerate(rankings)
         ),
+    )
+
+
+def census_profile(n):
+    """One voter per distinct ballot on ``n`` candidates."""
+    cands = default_candidates(n)
+    return ElectionProfile(
+        cands, tuple((f"v{i}", b) for i, b in enumerate(enumerate_ballots(cands)))
     )
 
 
@@ -128,6 +150,18 @@ class TestLoadProfile:
         path = self.write(tmp_path, "voter_id,rank1,rank2\nv1,a,b\n")
         with pytest.raises(ProfileError, match="fewer than 3"):
             load_profile(path)
+
+    def test_byte_order_mark_before_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + fixture_path().read_bytes())
+        assert load_profile(path) == load_profile(fixture_path())
+
+    def test_invalid_universe_rejected_before_rows(self, tmp_path):
+        # the row is malformed too; the universe must be blamed first
+        path = self.write(tmp_path, "voter_id,rank1,rank2,rank3\nv1,x,,y\n")
+        with pytest.raises(ValueError, match="invalid candidate id 'd-e'") as info:
+            load_profile(path, candidates=["x", "y", "d-e"])
+        assert not isinstance(info.value, ProfileError)
 
     def test_unknown_candidate_with_explicit_universe(self, tmp_path):
         path = self.write(tmp_path, "voter_id,rank1\nv1,q\n")
@@ -353,6 +387,47 @@ class TestProfileReport:
         assert types["c>a~b"]["rationalizability"] == "almost_strict"
         claims = {c["claim"]: c["verdict"] for c in types["c>a~b"]["claims"]}
         assert claims["T1"] == "holds" and claims["P1"] == "holds"
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_census_profile_matches_direct_evaluation(self, n):
+        for entry in profile_report(census_profile(n))["ballot_types"]:
+            text = entry["ballot"]
+            ballot = parse_ballot(text)
+            rel = relation_of(ballot)
+            assert entry["order"] == {
+                "is_top_truncated": is_top_truncated(rel),
+                "is_complete": is_complete(rel),
+                "is_total": is_total(rel),
+            }
+            direct = [
+                is_join_semilattice(rel, text),
+                is_modular(rel, text),
+                *check_remark1(rel, text),
+            ]
+            assert entry["claims"] == [report.to_dict() for report in direct]
+            assert entry["rationalizability"] == rationalizability_class(
+                canonical_utility(ballot), pair_record(ballot)
+            )
+
+    def test_checkers_run_once_per_shape(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            original = getattr(checks, name)
+
+            def wrapper(rel, subject=None):
+                calls.append(name)
+                return original(rel, subject)
+
+            return wrapper
+
+        for name in ("is_join_semilattice", "is_modular", "check_remark1"):
+            monkeypatch.setattr(checks, name, counted(name))
+        profile_report(census_profile(5))
+        # 205 distinct ballots, but only ranked lengths 1, 2, 3 and 5
+        assert sorted(calls) == sorted(
+            ["is_join_semilattice", "is_modular", "check_remark1"] * 4
+        )
 
     def test_report_is_deterministic(self):
         profile = profile_of("abc", ["b"], ["c", "a"], ["a", "b", "c"])
