@@ -10,7 +10,10 @@ exhausted.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -216,22 +219,36 @@ def tabulate_irv(profile: ElectionProfile) -> TabulationResult:
     ties by the previous round's tally and then by smallest id.  With a
     single candidate left, that candidate wins.
     """
-    chains = [ballot.ranked for _, ballot in profile.ballots]
+    return _tabulate(profile.candidates, Counter(b.ranked for _, b in profile.ballots))
+
+
+def _tabulate(
+    candidates: Iterable[str], counts: Mapping[tuple[str, ...], int]
+) -> TabulationResult:
+    """The instant-runoff round loop over counted ranked chains.
+
+    ``counts`` maps each distinct chain to its number of voters, so every
+    chain is walked once per round however many voters cast it.
+    """
+    chains = list(counts.items())
     cursors = [0] * len(chains)
-    active = set(profile.candidates)
+    voters = sum(counts.values())
+    active = set(candidates)
     rounds: list[TabulationRound] = []
     prev_tallies: dict[str, int] = {}
     while True:
         tallies = {c: 0 for c in sorted(active)}
         exhausted = 0
-        for i, chain in enumerate(chains):
-            while cursors[i] < len(chain) and chain[cursors[i]] not in active:
-                cursors[i] += 1
-            if cursors[i] >= len(chain):
-                exhausted += 1
+        for i, (chain, weight) in enumerate(chains):
+            cursor = cursors[i]
+            while cursor < len(chain) and chain[cursor] not in active:
+                cursor += 1
+            cursors[i] = cursor
+            if cursor >= len(chain):
+                exhausted += weight
             else:
-                tallies[chain[cursors[i]]] += 1
-        live = len(chains) - exhausted
+                tallies[chain[cursor]] += weight
+        live = voters - exhausted
         leader = max(tallies, key=tallies.get)
         if live > 0 and 2 * tallies[leader] > live:
             rounds.append(TabulationRound(tallies, None, exhausted))
@@ -277,24 +294,40 @@ class TruncationReport:
         }
 
 
+def _truncation_length(value) -> int:
+    """``value`` as an exact integer length; bools, floats and strings are refused."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise ValueError(f"truncation length must be an integer, got {value!r}")
+
+
 def truncation_experiment(
     profile: ElectionProfile, lengths: Iterable[int]
 ) -> TruncationReport:
-    """Re-tabulate the election at each ballot length and compare winners."""
-    wanted = sorted({int(v) for v in lengths})
+    """Re-tabulate the election at each ballot length and compare winners.
+
+    Truncating a ballot to length L keeps the first L links of its ranked
+    chain, so each length is tabulated from the profile's counted chains
+    cut to that depth; no ballot is rebuilt.  As with
+    :func:`truncate_ballot`, normalization makes lengths n - 1 and n both
+    keep the full chain.
+    """
+    wanted = sorted({_truncation_length(v) for v in lengths})
     if not wanted:
         raise ValueError("no truncation lengths given")
     n = len(profile.candidates)
     for length in wanted:
         if not 1 <= length <= n:
             raise ValueError(f"truncation length {length} outside 1..{n}")
+    full = Counter(b.ranked for _, b in profile.ballots)
     results: dict[int, TabulationResult] = {}
     for length in wanted:
-        truncated = ElectionProfile(
-            profile.candidates,
-            tuple((voter, truncate_ballot(b, length)) for voter, b in profile.ballots),
-        )
-        results[length] = tabulate_irv(truncated)
+        cut = length if length < n - 1 else n
+        counts: Counter[tuple[str, ...]] = Counter()
+        for chain, weight in full.items():
+            counts[chain[:cut]] += weight
+        results[length] = _tabulate(profile.candidates, counts)
     divergence = tuple(
         (a, b)
         for a, b in combinations(wanted, 2)

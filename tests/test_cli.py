@@ -311,6 +311,29 @@ class TestHarness:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            (
+                ["tabulate"],
+                "9d879781aa5e81bc8b216aa2eca507bd946ccd6ca0a9e9efc711f48c9474744d",
+            ),
+            (
+                ["truncate", "--lengths", "1,2,3"],
+                "aa61d9c4f71227dbaa6590e28fcf61b019c2583f738f50116c88013050e71456",
+            ),
+        ],
+        ids=["tabulate-fixture", "truncate-fixture"],
+    )
+    def test_election_json_bytes_are_pinned(self, capsys, argv, sha256):
+        # Digests of the bundled fixture's JSON from when every truncation
+        # length was tabulated over rebuilt ballots.
+        code, out, _ = run_cli(
+            capsys, *argv, "--input", str(fixture_path()), "--format", "json"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "ballot_lattice", "analyze", "--ballot", "p>q>r",

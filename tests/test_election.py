@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
 from ballot_lattice import (
@@ -31,7 +32,7 @@ from ballot_lattice import (
     truncate_ballot,
     truncation_experiment,
 )
-from ballot_lattice import checks
+from ballot_lattice import checks, election
 
 
 def ballot_over(universe, ranked):
@@ -366,6 +367,104 @@ class TestTruncation:
         payload = truncation_experiment(profile, [1, 3]).to_dict()
         assert set(payload["results"]) == {"1", "3"}
         assert payload["winner_divergence"] == [[1, 3]]
+
+    def test_lengths_must_be_integers(self):
+        profile = profile_of("abc", ["a"], ["b", "c"])
+        for bad in (1.9, True, "2"):
+            with pytest.raises(ValueError, match=f"must be an integer, got {bad!r}"):
+                truncation_experiment(profile, [2, bad])
+
+    def test_integer_like_lengths_accepted(self):
+        class One:
+            def __index__(self):
+                return 1
+
+        profile = profile_of("abc", ["a"], ["b", "c"])
+        report = truncation_experiment(profile, [One(), 3])
+        assert sorted(report.results) == [1, 3]
+        assert all(type(length) is int for length in report.results)
+
+
+def truncation_profiles(n, count=8, max_voters=30):
+    """Seeded profiles on ``n`` candidates, each with ranked lengths n - 1 and n."""
+    rng = random.Random(1000 + n)
+    universe = [f"c{i}" for i in range(n)]
+    for _ in range(count):
+        rankings = [rng.sample(universe, n - 1), rng.sample(universe, n)]
+        for _ in range(rng.randint(0, max_voters)):
+            rankings.append(rng.sample(universe, rng.randint(1, n)))
+        rng.shuffle(rankings)
+        yield profile_of(universe, *rankings)
+
+
+def rebuilt_truncation(profile, length):
+    return ElectionProfile(
+        profile.candidates,
+        tuple((v, truncate_ballot(b, length)) for v, b in profile.ballots),
+    )
+
+
+class TestTruncationDepthCut:
+    """The depth cut over counted chains against rebuilt truncated ballots."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_equals_rebuilt_ballots_and_the_reference(self, n):
+        for profile in truncation_profiles(n):
+            report = truncation_experiment(profile, range(1, n + 1))
+            for length in range(1, n + 1):
+                rebuilt = rebuilt_truncation(profile, length)
+                result = report.results[length]
+                assert result == tabulate_irv(rebuilt)
+                ref_rounds, ref_winner = oracles.irv_reference(rebuilt)
+                assert result.winner == ref_winner
+                assert [
+                    (dict(r.tallies), r.eliminated, r.exhausted) for r in result.rounds
+                ] == ref_rounds
+
+    def test_builds_no_ballots_or_profiles(self, monkeypatch):
+        profile = load_profile(fixture_path())
+        calls = []
+        post_init = ElectionProfile.__post_init__
+
+        def counted_truncate(ballot, length):
+            calls.append("truncate_ballot")
+            return truncate_ballot(ballot, length)
+
+        def counted_post_init(self):
+            calls.append("ElectionProfile")
+            post_init(self)
+
+        monkeypatch.setattr(election, "truncate_ballot", counted_truncate)
+        monkeypatch.setattr(ElectionProfile, "__post_init__", counted_post_init)
+        report = truncation_experiment(profile, [1, 2, 3])
+        assert report.winners() == {1: "c", 2: "b", 3: "b"}
+        assert calls == []
+
+
+@st.composite
+def drawn_profiles(draw, max_candidates=6, max_voters=12):
+    n = draw(st.integers(3, max_candidates))
+    universe = "abcdef"[:n]
+    ranking = st.tuples(st.permutations(universe), st.integers(1, n)).map(
+        lambda drawn: drawn[0][: drawn[1]]
+    )
+    return profile_of(universe, *draw(st.lists(ranking, min_size=1, max_size=max_voters)))
+
+
+class TestElectionProperties:
+    @given(drawn_profiles(), st.data())
+    def test_full_result_invariant_under_voter_order(self, profile, data):
+        order = data.draw(st.permutations(profile.ballots))
+        shuffled = ElectionProfile(profile.candidates, tuple(order))
+        assert tabulate_irv(shuffled).to_dict() == tabulate_irv(profile).to_dict()
+
+    @given(drawn_profiles())
+    def test_lengths_n_and_n_minus_one_equal_the_plain_count(self, profile):
+        n = len(profile.candidates)
+        report = truncation_experiment(profile, [n - 1, n])
+        plain = tabulate_irv(profile)
+        assert report.results[n] == plain
+        assert report.results[n - 1] == plain
 
 
 # ---------------------------------------------------------------------------
