@@ -78,6 +78,7 @@ from .representation import (
     is_submodular,
     pair_record,
     rationalizability_class,
+    subrecord_verdicts,
     theorem3_check,
     verify_concavity,
 )

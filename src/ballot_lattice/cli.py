@@ -1,7 +1,9 @@
 """Command-line surface: one subcommand per analysis, text or JSON out.
 
 Exit codes: 0 success, 1 validation error (single ``error:`` line on
-stderr), 2 when a must-hold claim fails during ``verify``.
+stderr), 2 when a must-hold claim fails during ``verify``, 141 (the
+status a shell reports for a process ended by SIGPIPE) when stdout is
+closed before the output is written, e.g. ``... | head -3``.
 """
 
 from __future__ import annotations
@@ -9,8 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
-from itertools import combinations
 
 from .checks import relation_claims
 from .election import (
@@ -41,11 +43,11 @@ from .order import (
     relation_of,
 )
 from .representation import (
-    PairRecord,
     canonical_utility,
     concave_witness,
     pair_record,
     rationalizability_class,
+    subrecord_verdicts,
     theorem3_check,
     verify_concavity,
 )
@@ -108,10 +110,11 @@ def _universe(args) -> list[str] | None:
 
 
 def _lengths(raw: str) -> list[int]:
-    try:
-        return [int(piece) for piece in raw.split(",")]
-    except ValueError:
-        raise ValueError(f"--lengths: expected comma-separated integers, got {raw!r}") from None
+    # int() alone would also take "0_1" and non-ASCII digits such as "\u0663".
+    pieces = [piece.strip() for piece in raw.split(",")]
+    if not all(re.fullmatch(r"-?[0-9]+", piece) for piece in pieces):
+        raise ValueError(f"--lengths: expected comma-separated integers, got {raw!r}")
+    return [int(piece) for piece in pieces]
 
 
 def _emit(payload: dict, args, render_text) -> None:
@@ -221,26 +224,23 @@ def _cmd_theorem3(args) -> int:
     ballot = parse_ballot(args.ballot, universe)
     record = pair_record(ballot)
     if args.all_subsets:
-        pairs = sorted(record.pairs)
-        if len(pairs) > ALL_SUBSETS_CAP:
+        if len(record) > ALL_SUBSETS_CAP:
             raise ValueError(
-                f"--all-subsets sweeps 2^pairs sub-records; {len(pairs)} pairs "
+                f"--all-subsets sweeps 2^pairs sub-records; {len(record)} pairs "
                 f"exceeds the cap of {ALL_SUBSETS_CAP}"
             )
         counts = {"disjunct1": 0, "disjunct2": 0, "fails": 0}
         fails_all_unranked = 0
         unexpected = []
         total = 0
-        for size in range(1, len(pairs) + 1):
-            for chosen in combinations(pairs, size):
-                total += 1
-                verdict = theorem3_check(ballot, PairRecord(frozenset(chosen)))
-                counts[verdict.outcome] += 1
-                if verdict.outcome == "fails":
-                    if verdict.all_unranked:
-                        fails_all_unranked += 1
-                    elif len(unexpected) < 10:
-                        unexpected.append([list(p) for p in chosen])
+        for chosen, verdict in subrecord_verdicts(ballot):
+            total += 1
+            counts[verdict.outcome] += 1
+            if verdict.outcome == "fails":
+                if verdict.all_unranked:
+                    fails_all_unranked += 1
+                elif len(unexpected) < 10:
+                    unexpected.append([list(p) for p in chosen])
         payload = {
             "ballot": format_ballot(ballot),
             "mode": "all-subsets",
@@ -404,6 +404,11 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.handler(args)
+    except BrokenPipeError:
+        # The reader is gone: stop quietly, and send what is still buffered
+        # for stdout to the null device so the flush at exit cannot fail too.
+        sys.stdout = open(os.devnull, "w")
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

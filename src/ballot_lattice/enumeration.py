@@ -11,7 +11,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Iterable, Iterator
 
 from .checks import (
@@ -30,6 +30,7 @@ from .representation import (
     is_submodular,
     pair_record,
     rationalizability_class,
+    subrecord_verdicts,
     theorem3_check,
     verify_concavity,
 )
@@ -196,23 +197,20 @@ class VerificationSummary:
         }
 
 
-def _subrecord_violations(
-    ballot: RankedBallot, record: PairRecord, limit: int = 5
-) -> list[list[list[str]]]:
+def _subrecord_violations(ballot: RankedBallot, limit: int = 5) -> list[list[list[str]]]:
     """Sub-records that fail the disjunction without being all-unranked."""
-    pairs = sorted(record.pairs)
     bad: list[list[list[str]]] = []
-    for size in range(1, len(pairs) + 1):
-        for chosen in combinations(pairs, size):
-            verdict = theorem3_check(ballot, PairRecord(frozenset(chosen)))
-            if verdict.outcome == "fails" and not verdict.all_unranked:
-                bad.append([list(p) for p in chosen])
-                if len(bad) >= limit:
-                    return bad
+    for chosen, verdict in subrecord_verdicts(ballot):
+        if verdict.outcome == "fails" and not verdict.all_unranked:
+            bad.append([list(p) for p in chosen])
+            if len(bad) >= limit:
+                break
     return bad
 
 
-def _witness_issues(ballot: RankedBallot, trials: int) -> tuple[list, str]:
+def _witness_issues(
+    ballot: RankedBallot, record: PairRecord, trials: int
+) -> tuple[list, str]:
     """Check the spatial witness; returns (issues, rationalizability class)."""
     witness = concave_witness(ballot)
     issues = []
@@ -225,7 +223,7 @@ def _witness_issues(ballot: RankedBallot, trials: int) -> tuple[list, str]:
         expected = -Fraction(k * k)
         if witness.utility(c) != expected:
             issues.append({"candidate": c, "got": str(witness.utility(c)), "want": str(expected)})
-    cls = rationalizability_class(witness.utilities(), pair_record(ballot))
+    cls = rationalizability_class(witness.utilities(), record)
     report = verify_concavity(witness, trials)
     if not report.ok:
         issues.append({"concavity": report.witness})
@@ -283,7 +281,7 @@ def exhaustive_verify(
                 subject,
                 None if verdict.ok else verdict.to_dict(),
             )
-            violations = _subrecord_violations(ballot, record)
+            violations = _subrecord_violations(ballot)
             stats["T3.sub"].record(
                 FAILS if violations else HOLDS, subject, violations or None
             )
@@ -291,7 +289,7 @@ def exhaustive_verify(
             stats["T3.full"].record(VACUOUS, subject)
             stats["T3.sub"].record(VACUOUS, subject)
 
-        issues, got_class = _witness_issues(ballot, trials)
+        issues, got_class = _witness_issues(ballot, record, trials)
         if not issues and got_class == expected_class:
             stats["T4"].record(HOLDS, subject)
         else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -33,11 +33,12 @@ __all__ = [
     "N_set",
     "extreme_points",
     "theorem3_check",
+    "subrecord_verdicts",
     "concave_witness",
     "verify_concavity",
 ]
 
-#: Upper bound on the pairs fed to subset enumeration in theorem3_check.
+#: Upper bound on the unranked-to-unranked pairs theorem3_check accepts.
 SUBSET_ENUMERATION_CAP = 20
 
 
@@ -213,21 +214,28 @@ def theorem3_check(ballot: RankedBallot, sub_record: PairRecord) -> DisjunctionV
     """Decide which disjunct a nonempty sub-record of the ballot satisfies.
 
     Disjunct 1 looks for an extreme point outside ``Y``.  Disjunct 2
-    searches for a nonempty sub-sub-record whose sources and targets
+    looks for a nonempty sub-sub-record whose sources and targets
     coincide, sit inside the extreme points, and share no source with the
-    rest; subsets are enumerated in increasing-size, lexicographic order
-    so the witness is deterministic.
+    rest; the witness is the first such set in increasing-size,
+    lexicographic order over the sorted pairs, so it is deterministic.
 
     Only pairs between unranked candidates can sit in a balanced
     sub-record: among pairs with a ranked source, the best-ranked source
     is never anyone's target, so sources and targets cannot coincide.
-    The disjunct-2 enumeration therefore runs over unranked-to-unranked
-    pairs only; the no-pruning equivalent lives in the test suite as an
-    oracle.
+    A balanced set with sources ``V`` must also hold every pair of the
+    record that leaves ``V``, or the rest would share a source with it;
+    so it is fixed by ``V``.  The search therefore runs over the sets
+    ``V`` of unranked extreme-point sources (at most ``2^11`` on 12
+    candidates) rather than over subsets of the pairs, keeps those whose
+    outgoing pairs have targets exactly ``V``, and returns the one that
+    is smallest by size and then by sorted pairs, which is the first hit
+    of the subset order.  The no-pruning subset walk lives in the test
+    suite as an oracle.
 
     Raises:
         ValueError: empty sub-record, pairs that are not on the ballot,
-            or more enumerable pairs than ``SUBSET_ENUMERATION_CAP``.
+            or more unranked-to-unranked pairs than
+            ``SUBSET_ENUMERATION_CAP``.
     """
     if not sub_record.pairs:
         raise ValueError("sub-record must be nonempty")
@@ -235,36 +243,58 @@ def theorem3_check(ballot: RankedBallot, sub_record: PairRecord) -> DisjunctionV
     if not sub_record.pairs <= full.pairs:
         stray = sorted(sub_record.pairs - full.pairs)
         raise ValueError(f"sub-record contains pairs not on the ballot: {stray}")
+    return _disjunction(ballot, sub_record.pairs)
 
-    cands = sorted(sub_record.candidates())
-    all_unranked = all(c in ballot.unranked for c in cands)
+
+def _disjunction(
+    ballot: RankedBallot, pairs: frozenset[tuple[str, str]]
+) -> DisjunctionVerdict:
+    """:func:`theorem3_check` on pairs already known to be a nonempty sub-record."""
+    unranked = ballot.unranked
+    cands = sorted({c for pair in pairs for c in pair})
+    all_unranked = all(c in unranked for c in cands)
     extremes = extreme_points(ballot, cands)
-    y_all = Y_set(sub_record)
+    outgoing: dict[str, list[str]] = {}
+    for x, y in sorted(pairs):
+        outgoing.setdefault(x, []).append(y)
 
     for e in sorted(extremes):
-        if e not in y_all:
+        if e not in outgoing:
             return DisjunctionVerdict("disjunct1", e, all_unranked)
 
-    base = sorted(
-        p for p in sub_record.pairs if p[0] in ballot.unranked and p[1] in ballot.unranked
-    )
-    if len(base) > SUBSET_ENUMERATION_CAP:
+    unranked_pairs = sum(1 for x, y in pairs if x in unranked and y in unranked)
+    if unranked_pairs > SUBSET_ENUMERATION_CAP:
         raise ValueError(
-            f"subset enumeration bound exceeded: {len(base)} unranked pairs, "
+            f"subset enumeration bound exceeded: {unranked_pairs} unranked pairs, "
             f"cap is {SUBSET_ENUMERATION_CAP}"
         )
-    for size in range(1, len(base) + 1):
-        for subset in combinations(base, size):
-            chosen = frozenset(subset)
-            sources = frozenset(x for x, _ in chosen)
-            targets = frozenset(y for _, y in chosen)
-            if sources != targets or not sources <= extremes:
+    pool = [x for x in outgoing if x in unranked and x in extremes]
+    best = None
+    for size in range(1, len(pool) + 1):
+        for sources in combinations(pool, size):
+            chosen = tuple((x, y) for x in sources for y in outgoing[x])
+            if {y for _, y in chosen} != set(sources):
                 continue
-            rest = sub_record.pairs - chosen
-            if sources & frozenset(x for x, _ in rest):
-                continue
-            return DisjunctionVerdict("disjunct2", subset, all_unranked)
-    return DisjunctionVerdict("fails", None, all_unranked)
+            if best is None or (len(chosen), chosen) < (len(best), best):
+                best = chosen
+    if best is None:
+        return DisjunctionVerdict("fails", None, all_unranked)
+    return DisjunctionVerdict("disjunct2", best, all_unranked)
+
+
+def subrecord_verdicts(
+    ballot: RankedBallot,
+) -> Iterator[tuple[tuple[tuple[str, str], ...], DisjunctionVerdict]]:
+    """Every nonempty sub-record of the ballot's record with its T3 verdict.
+
+    Yields ``(pairs, verdict)`` in increasing-size, lexicographic order
+    over the sorted record, building the record once; there are
+    ``2^pairs - 1`` of them, so callers bound the record size.
+    """
+    pairs = sorted(pair_record(ballot).pairs)
+    for size in range(1, len(pairs) + 1):
+        for chosen in combinations(pairs, size):
+            yield chosen, _disjunction(ballot, frozenset(chosen))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -259,6 +261,32 @@ class TestTruncate:
         assert code == 1 and err.count("\n") == 1
         assert err.startswith("error: --lengths:") and "int()" not in err
 
+    @pytest.mark.parametrize("lengths", ["0_1", "\u0663", "1,0_1,3", "+2"])
+    def test_lengths_must_be_ascii_integers(self, capsys, lengths):
+        code, out, err = run_cli(
+            capsys, "truncate", "--input", str(fixture_path()), "--lengths", lengths
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: --lengths: expected comma-separated integers, got {lengths!r}\n"
+
+    def test_padded_lengths_are_stripped(self, capsys):
+        argv = ["truncate", "--input", str(fixture_path()), "--format", "json"]
+        _, plain, _ = run_cli(capsys, *argv, "--lengths", "2")
+        code, padded, err = run_cli(capsys, *argv, "--lengths", " 2 ")
+        assert code == 0 and err == "" and padded == plain
+
+    @pytest.mark.parametrize("lengths", ["0", "-1"])
+    def test_non_positive_lengths_keep_the_range_error(self, capsys, lengths):
+        code, _, err = run_cli(
+            capsys, "truncate", "--input", str(fixture_path()), "--lengths", lengths
+        )
+        assert code == 1 and err == f"error: truncation length {lengths} outside 1..3\n"
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
 
 class TestHarness:
     def test_unknown_flag_rejected(self, capsys):
@@ -333,6 +361,50 @@ class TestHarness:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            (
+                ["theorem3", "--full", "--ballot", "a>b~c~d~e~f"],
+                "22e48ba19a29a76736e22e5cbea4afa341a78f8ec108e01ccceb9e227f834b4d",
+            ),
+            (
+                ["theorem3", "--all-subsets", "--ballot", "a>b~c~d"],
+                "a028abafcbbe394810d919b675823b27b41331e1d3ef426c557ff0c0b474d900",
+            ),
+        ],
+        ids=["theorem3-worst-full", "theorem3-all-subsets"],
+    )
+    def test_theorem3_json_bytes_are_pinned(self, capsys, argv, sha256):
+        # Digests of the JSON output from when the disjunct-2 search walked
+        # every subset of the unranked pairs.
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    def test_closed_stdout_exits_141_without_a_message(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        code = main(["enumerate", "--n", "3"])
+        replacement = sys.stdout
+        assert replacement.name == os.devnull
+        replacement.close()
+        assert code == 141
+        assert capsys.readouterr().err == ""
+
+    def test_reader_closing_the_pipe_early_is_silent(self):
+        # About 200 kB of JSON, more than a pipe buffers, so the writer is
+        # still writing when the reader goes away.
+        with subprocess.Popen(
+            [sys.executable, "-m", "ballot_lattice", "enumerate", "--n", "7", "--format", "json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        ) as proc:
+            assert proc.stdout.read(16).startswith(b"{")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+        assert err == b""
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -121,3 +122,20 @@ class TestExhaustiveVerify:
         summary = exhaustive_verify(1, trials=10)
         assert summary.claim("R1.4").fails == 1
         assert not summary.ok and summary.must_failures == ["R1.4"]
+
+    def test_relation_built_at_most_four_times_per_ballot(self, monkeypatch):
+        # The sub-record sweep builds the ballot's record once, so relation
+        # builds do not grow with the 2^pairs sub-records of a ballot.
+        calls = []
+
+        def counting(ballot):
+            calls.append(ballot)
+            return relation_of(ballot)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("ballot_lattice") and getattr(module, "relation_of", None) is relation_of:
+                monkeypatch.setattr(module, "relation_of", counting)
+        summary = exhaustive_verify(4, trials=10)
+        assert summary.ok
+        assert summary.claim("T3.sub").holds == ballot_count(4)
+        assert 0 < len(calls) <= 4 * ballot_count(4)

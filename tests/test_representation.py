@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,6 +22,7 @@ from ballot_lattice import (
     parse_ballot,
     rationalizability_class,
     relation_of,
+    subrecord_verdicts,
     theorem3_check,
     verify_concavity,
 )
@@ -220,6 +222,70 @@ class TestTheorem3Check:
             "witness": None,
             "all_unranked": True,
         }
+
+
+class TestSourceSetSearch:
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_agrees_with_no_pruning_oracle_on_random_subrecords(self, n):
+        # Records of at most 12 pairs keep the oracle's 2^pairs walk cheap;
+        # unranked-to-unranked pairs are kept more often so that balanced
+        # sub-records and failures both turn up.
+        rng = random.Random(n)
+        ballots = [b for b in enumerate_ballots([f"c{i}" for i in range(n)]) if b.unranked]
+        outcomes = set()
+        checked = 0
+        while checked < 150:
+            ballot = rng.choice(ballots)
+            chosen = [
+                (x, y)
+                for x, y in sorted(pair_record(ballot).pairs)
+                if rng.random() < (0.6 if {x, y} <= ballot.unranked else 0.1)
+            ]
+            if not chosen or len(chosen) > 12:
+                continue
+            checked += 1
+            verdict = theorem3_check(ballot, PairRecord(frozenset(chosen)))
+            expected = oracles.subset_disjunction_oracle(ballot, chosen)
+            outcomes.add(expected[0])
+            assert (verdict.outcome, verdict.witness) == expected
+            assert verdict.all_unranked == all(
+                c in ballot.unranked for pair in chosen for c in pair
+            )
+        assert outcomes == {"disjunct1", "disjunct2", "fails"}
+
+    def test_worst_case_witness_is_every_unranked_pair(self):
+        ballot = parse_ballot("a>b~c~d~e~f")
+        verdict = theorem3_check(ballot, pair_record(ballot))
+        expected = tuple((x, y) for x in "bcdef" for y in "bcdef" if x != y)
+        assert len(expected) == 20
+        assert verdict.outcome == "disjunct2"
+        assert verdict.witness == expected
+
+    def test_fewest_pairs_win_over_fewest_sources(self):
+        # Both {b, c, d} (all six pairs) and the 4-cycle on {e, f, g, h} are
+        # balanced and detached; the subset order is size first, so the
+        # cycle's four pairs beat the smaller source set.
+        ballot = parse_ballot("a>b~c~d~e~f~g~h")
+        dense = [(x, y) for x in "bcd" for y in "bcd" if x != y]
+        cycle = [("e", "f"), ("f", "g"), ("g", "h"), ("h", "e")]
+        chosen = sorted([("a", "b")] + dense + cycle)
+        verdict = theorem3_check(ballot, PairRecord(frozenset(chosen)))
+        assert verdict.outcome == "disjunct2"
+        assert verdict.witness == tuple(cycle)
+        assert oracles.subset_disjunction_oracle(ballot, chosen) == ("disjunct2", verdict.witness)
+
+
+class TestSubrecordVerdicts:
+    def test_every_subrecord_in_subset_order(self):
+        ballot = parse_ballot("a>b~c")
+        pairs = sorted(pair_record(ballot).pairs)
+        expected = [
+            chosen for size in range(1, len(pairs) + 1) for chosen in combinations(pairs, size)
+        ]
+        swept = list(subrecord_verdicts(ballot))
+        assert [chosen for chosen, _ in swept] == expected
+        for chosen, verdict in swept:
+            assert verdict == theorem3_check(ballot, PairRecord(frozenset(chosen)))
 
 
 class TestConcaveWitness:
