@@ -8,6 +8,9 @@ instant-runoff elections including a ballot-length sensitivity experiment.
 
 from .checks import (
     CLAIM_DESCRIPTIONS,
+    CLAIM_REGISTRY,
+    INFORMATIONAL_CLAIMS,
+    MUST_CLAIMS,
     ClaimReport,
     check_remark1,
     is_join_semilattice,
@@ -29,9 +32,7 @@ from .election import (
     truncation_experiment,
 )
 from .enumeration import (
-    INFORMATIONAL_CLAIMS,
     MAX_ENUMERATION_CANDIDATES,
-    MUST_CLAIMS,
     VerificationSummary,
     ballot_count,
     default_candidates,

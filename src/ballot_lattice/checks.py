@@ -15,8 +15,6 @@ from .order import (
     OrderRelation,
     atoms,
     coatoms,
-    is_complete,
-    is_total,
     join,
     join_irreducibles,
     meet_irreducibles,
@@ -27,7 +25,10 @@ __all__ = [
     "HOLDS",
     "FAILS",
     "VACUOUS",
+    "CLAIM_REGISTRY",
     "CLAIM_DESCRIPTIONS",
+    "MUST_CLAIMS",
+    "INFORMATIONAL_CLAIMS",
     "ClaimReport",
     "is_join_semilattice",
     "is_modular",
@@ -39,15 +40,27 @@ HOLDS = "holds"
 FAILS = "fails"
 VACUOUS = "vacuous"
 
-#: Human-readable summaries of the claim codes used across the package.
-CLAIM_DESCRIPTIONS = {
-    "T1": "every pair of candidates has a join",
-    "P1": "modular: x tied to (x v y) forces (x v z) tied to ((x v y) v z)",
-    "R1.1": "every join-irreducible element is an atom",
-    "R1.2": "a join-irreducible element forces a total order",
-    "R1.3": "exactly n-1 meet-irreducible elements",
-    "R1.4": "co-atom count between 1 and n-1",
+#: Every claim code in report order, mapped to its human-readable summary
+#: and whether it must hold on every ballot for a sweep to succeed.  The
+#: other claims are reported for information only.
+CLAIM_REGISTRY = {
+    "T1": ("every pair of candidates has a join", True),
+    "P1": ("modular: x tied to (x v y) forces (x v z) tied to ((x v y) v z)", True),
+    "R1.1": ("every join-irreducible element is an atom", False),
+    "R1.2": ("a join-irreducible element forces a total order", False),
+    "R1.3": ("exactly n-1 meet-irreducible elements", True),
+    "R1.4": ("co-atom count between 1 and n-1", True),
+    "C1.repr": ("canonical utility represents the ballot order", True),
+    "C1.submod": ("canonical utility is submodular", True),
+    "RAT": ("canonical utility class is strict exactly on total rankings", True),
+    "T3.full": ("the full pair record satisfies the disjunction", True),
+    "T3.sub": ("sub-record failures happen only on all-unranked records", False),
+    "T4": ("spatial witness has exact utilities, an almost-strict class and passes concavity sampling", True),
 }
+
+CLAIM_DESCRIPTIONS = {code: text for code, (text, _) in CLAIM_REGISTRY.items()}
+MUST_CLAIMS = frozenset(code for code, (_, must) in CLAIM_REGISTRY.items() if must)
+INFORMATIONAL_CLAIMS = frozenset(CLAIM_REGISTRY) - MUST_CLAIMS
 
 
 @dataclass(frozen=True)
@@ -206,10 +219,10 @@ def check_remark1(r: OrderRelation, subject: str | None = None) -> list[ClaimRep
             )
         else:
             out.append(ClaimReport("R1.1", subject, HOLDS))
-        if is_complete(r) and is_total(r):
+        pair = _first_untotal_pair(r)
+        if pair is None:
             out.append(ClaimReport("R1.2", subject, HOLDS))
         else:
-            pair = _first_untotal_pair(r)
             out.append(
                 ClaimReport(
                     "R1.2",

@@ -67,13 +67,24 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _integer(raw: str) -> int:
+    """``raw`` as an integer: an optional minus sign and ASCII digits.
+
+    int() alone would also take "0_3" and non-ASCII digits such as "\u0663".
+    """
+    text = raw.strip()
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}")
+    return int(text)
+
+
 def _enumeration_cap() -> int:
     raw = os.environ.get("BALLOT_LATTICE_MAX_N")
     if raw is None:
         return MAX_ENUMERATION_CANDIDATES
     try:
-        value = int(raw)
-    except ValueError:
+        value = _integer(raw)
+    except argparse.ArgumentTypeError:
         raise ValueError(f"BALLOT_LATTICE_MAX_N must be an integer, got {raw!r}") from None
     if value < 1:
         raise ValueError("BALLOT_LATTICE_MAX_N must be at least 1")
@@ -90,10 +101,7 @@ def _check_n(n: int) -> int:
 
 
 def _positive_int(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+    value = _integer(raw)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -110,11 +118,10 @@ def _universe(args) -> list[str] | None:
 
 
 def _lengths(raw: str) -> list[int]:
-    # int() alone would also take "0_1" and non-ASCII digits such as "\u0663".
-    pieces = [piece.strip() for piece in raw.split(",")]
-    if not all(re.fullmatch(r"-?[0-9]+", piece) for piece in pieces):
-        raise ValueError(f"--lengths: expected comma-separated integers, got {raw!r}")
-    return [int(piece) for piece in pieces]
+    try:
+        return [_integer(piece) for piece in raw.split(",")]
+    except argparse.ArgumentTypeError:
+        raise ValueError(f"--lengths: expected comma-separated integers, got {raw!r}") from None
 
 
 def _emit(payload: dict, args, render_text) -> None:
@@ -365,11 +372,11 @@ def _build_parser() -> _Parser:
     sub.add_argument("--candidates", help="comma-separated candidate universe")
 
     sub = add("verify", _cmd_verify, "exhaustively verify all claims on n candidates")
-    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--n", type=_integer, required=True)
     sub.add_argument("--trials", type=_positive_int, default=1000, help="concavity samples per ballot")
 
     sub = add("enumerate", _cmd_enumerate, "list the full ballot census on n candidates")
-    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--n", type=_integer, required=True)
 
     sub = add("theorem3", _cmd_theorem3, "record disjunction check for one ballot")
     sub.add_argument("--ballot", required=True)

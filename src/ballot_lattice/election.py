@@ -10,9 +10,7 @@ exhausted.
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +25,7 @@ from .order import (
     MAX_RELATION_CANDIDATES,
     RankedBallot,
     _check_token,
+    _exact_int,
     format_ballot,
     is_complete,
     is_top_truncated,
@@ -294,14 +293,6 @@ class TruncationReport:
         }
 
 
-def _truncation_length(value) -> int:
-    """``value`` as an exact integer length; bools, floats and strings are refused."""
-    if not isinstance(value, bool):
-        with contextlib.suppress(TypeError):
-            return operator.index(value)
-    raise ValueError(f"truncation length must be an integer, got {value!r}")
-
-
 def truncation_experiment(
     profile: ElectionProfile, lengths: Iterable[int]
 ) -> TruncationReport:
@@ -313,7 +304,7 @@ def truncation_experiment(
     :func:`truncate_ballot`, normalization makes lengths n - 1 and n both
     keep the full chain.
     """
-    wanted = sorted({_truncation_length(v) for v in lengths})
+    wanted = sorted({_exact_int(v, "truncation length") for v in lengths})
     if not wanted:
         raise ValueError("no truncation lengths given")
     n = len(profile.candidates)

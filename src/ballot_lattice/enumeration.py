@@ -15,7 +15,7 @@ from itertools import permutations
 from typing import Iterable, Iterator
 
 from .checks import (
-    CLAIM_DESCRIPTIONS,
+    CLAIM_REGISTRY,
     FAILS,
     HOLDS,
     VACUOUS,
@@ -38,9 +38,6 @@ from .representation import (
 __all__ = [
     "MAX_ENUMERATION_CANDIDATES",
     "SUBRECORD_SWEEP_MAX_N",
-    "MUST_CLAIMS",
-    "INFORMATIONAL_CLAIMS",
-    "SWEEP_CLAIMS",
     "default_candidates",
     "ballot_count",
     "enumerate_ballots",
@@ -54,30 +51,6 @@ MAX_ENUMERATION_CANDIDATES = 7
 #: Sub-record sweeps cost 2^(pair count) per ballot; past this candidate
 #: count the record-disjunction claims are skipped.
 SUBRECORD_SWEEP_MAX_N = 4
-
-#: Claims evaluated by the sweep, in report order, with descriptions.
-SWEEP_CLAIMS = {
-    "T1": CLAIM_DESCRIPTIONS["T1"],
-    "P1": CLAIM_DESCRIPTIONS["P1"],
-    "R1.1": CLAIM_DESCRIPTIONS["R1.1"],
-    "R1.2": CLAIM_DESCRIPTIONS["R1.2"],
-    "R1.3": CLAIM_DESCRIPTIONS["R1.3"],
-    "R1.4": CLAIM_DESCRIPTIONS["R1.4"],
-    "C1.repr": "canonical utility represents the ballot order",
-    "C1.submod": "canonical utility is submodular",
-    "RAT": "canonical utility class is strict exactly on total rankings",
-    "T3.full": "the full pair record satisfies the disjunction",
-    "T3.sub": "sub-record failures happen only on all-unranked records",
-    "T4": "spatial witness has exact utilities, an almost-strict class and passes concavity sampling",
-}
-
-#: Claims that must hold on every enumerated ballot for a run to succeed.
-MUST_CLAIMS = frozenset(
-    {"T1", "P1", "R1.3", "R1.4", "C1.repr", "C1.submod", "RAT", "T3.full", "T4"}
-)
-
-#: Claims reported for information only; failures never fail a run.
-INFORMATIONAL_CLAIMS = frozenset({"R1.1", "R1.2", "T3.sub"})
 
 
 def default_candidates(n: int) -> tuple[str, ...]:
@@ -243,8 +216,7 @@ def exhaustive_verify(
     failed somewhere.
     """
     stats = {
-        code: ClaimStats(code, text, code in MUST_CLAIMS)
-        for code, text in SWEEP_CLAIMS.items()
+        code: ClaimStats(code, text, must) for code, (text, must) in CLAIM_REGISTRY.items()
     }
     do_t3 = sweep_subrecords if sweep_subrecords is not None else n <= SUBRECORD_SWEEP_MAX_N
     count = 0
@@ -298,4 +270,4 @@ def exhaustive_verify(
                 subject,
                 {"issues": issues, "class": got_class, "expected": expected_class},
             )
-    return VerificationSummary(n, count, [stats[code] for code in SWEEP_CLAIMS])
+    return VerificationSummary(n, count, list(stats.values()))

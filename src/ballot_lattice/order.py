@@ -6,17 +6,22 @@ a complete weak order whose only ties sit among the minimal elements; the
 predicates in this module classify arbitrary relations, so that property
 is checked rather than assumed.
 
-Relations are stored extensionally as pair tables.  That keeps every
-classifier falsifiable on hand-built relations, at the cost of a size cap
-(``MAX_RELATION_CANDIDATES``).
+Relations are stored extensionally as pair tables, and the pair table is
+the definition: every predicate reads it or what is derived from it.
+That keeps every classifier falsifiable on hand-built relations, at the
+cost of a size cap (``MAX_RELATION_CANDIDATES``).  Each relation derives,
+once on construction, the sets of candidates strictly above and strictly
+below each candidate; joins, meets and covers read those sets.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import operator
 import re
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -69,6 +74,14 @@ def _check_token(token) -> str:
             "letters, digits or underscores"
         )
     return token
+
+
+def _exact_int(value, what: str) -> int:
+    """``value`` as an exact integer; bools, floats and strings are refused."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -194,7 +207,10 @@ class OrderRelation:
     ``pairs`` lists every ``(x, y)`` with ``x`` weakly above ``y``,
     reflexive pairs included (they are added automatically).  No other
     axiom is imposed at construction; the ``is_*`` predicates classify
-    instances.
+    instances.  ``_above[c]`` and ``_below[c]`` are the candidates
+    :meth:`strictly` above and below ``c``, derived from ``pairs`` on
+    construction; they are not fields, so equality, hashing and the dump
+    format see ``candidates`` and ``pairs`` only.
     """
 
     candidates: tuple[str, ...]
@@ -219,6 +235,14 @@ class OrderRelation:
         pairs.update((c, c) for c in cands)
         object.__setattr__(self, "candidates", cands)
         object.__setattr__(self, "pairs", frozenset(pairs))
+        above: dict[str, set[str]] = {c: set() for c in cands}
+        below: dict[str, set[str]] = {c: set() for c in cands}
+        for x, y in self.pairs:
+            if self.strictly(x, y):
+                above[y].add(x)
+                below[x].add(y)
+        object.__setattr__(self, "_above", {c: frozenset(s) for c, s in above.items()})
+        object.__setattr__(self, "_below", {c: frozenset(s) for c, s in below.items()})
 
     def holds(self, x: str, y: str) -> bool:
         """True when ``x`` is weakly above ``y``."""
@@ -255,24 +279,19 @@ class OrderRelation:
 def relation_of(ballot: RankedBallot) -> OrderRelation:
     """The weak order a ballot induces.
 
-    A ranked candidate sits strictly above every later-ranked and every
-    unranked candidate; unranked candidates are mutually tied.  The result
-    is complete by construction.
+    ``x`` is weakly above ``y`` exactly when its position is no later,
+    every unranked candidate sitting at position ``len(ranked)``: a ranked
+    candidate is strictly above every later-ranked and every unranked
+    candidate, and unranked candidates are mutually tied.  The result is
+    complete by construction.
     """
     rank = {c: i for i, c in enumerate(ballot.ranked)}
-    pairs = set()
-    for x in ballot.candidates:
-        for y in ballot.candidates:
-            if x == y:
-                pairs.add((x, y))
-            elif x in rank and y in rank:
-                if rank[x] < rank[y]:
-                    pairs.add((x, y))
-            elif x in rank:
-                pairs.add((x, y))
-            elif y not in rank:
-                pairs.add((x, y))
-    return OrderRelation(tuple(sorted(ballot.candidates)), frozenset(pairs))
+    k = len(ballot.ranked)
+    cands = ballot.candidates
+    pairs = frozenset(
+        (x, y) for x in cands for y in cands if rank.get(x, k) <= rank.get(y, k)
+    )
+    return OrderRelation(tuple(sorted(cands)), pairs)
 
 
 def transitivity_gap(r: OrderRelation) -> tuple[str, str, str] | None:
@@ -315,9 +334,7 @@ def is_weak_order(r: OrderRelation) -> bool:
 
 def minimal_elements(r: OrderRelation) -> frozenset[str]:
     """Candidates with nothing strictly below them."""
-    return frozenset(
-        x for x in r.candidates if not any(r.strictly(x, y) for y in r.candidates)
-    )
+    return frozenset(x for x in r.candidates if not r._below[x])
 
 
 def is_top_truncated(r: OrderRelation) -> bool:
@@ -359,28 +376,22 @@ def _require_candidate(r: OrderRelation, x: str) -> None:
         raise ValueError(f"unknown candidate {x!r}")
 
 
-def _at_or_strictly_above(r: OrderRelation, u: str, v: str) -> bool:
-    # Ties are no help when hunting bounds: every tied bottom candidate
-    # would qualify as a weak bound of the others and "the" least bound
-    # would stop being unique.  Bounds therefore run along strict
-    # preference plus identity.
-    return u == v or r.strictly(u, v)
-
-
 def join(r: OrderRelation, x: str, y: str) -> str | None:
     """Least upper bound of ``x`` and ``y``, or None when there is none.
+
+    Bounds run along strict preference plus identity: ties are no help
+    when hunting bounds, since every tied bottom candidate would qualify
+    as a weak bound of the others and "the" least bound would stop being
+    unique.  The least bound is the one upper bound that every upper
+    bound sits at or strictly above.
 
     For a ballot relation this always exists: the higher of a comparable
     pair, or the lowest-ranked candidate above a tied pair.
     """
     _require_candidate(r, x)
     _require_candidate(r, y)
-    ups = [
-        u
-        for u in r.candidates
-        if _at_or_strictly_above(r, u, x) and _at_or_strictly_above(r, u, y)
-    ]
-    least = [u for u in ups if all(_at_or_strictly_above(r, v, u) for v in ups)]
+    ups = (r._above[x] | {x}) & (r._above[y] | {y})
+    least = [u for u in ups if ups <= r._above[u] | {u}]
     return least[0] if len(least) == 1 else None
 
 
@@ -392,12 +403,8 @@ def meet(r: OrderRelation, x: str, y: str) -> str | None:
     """
     _require_candidate(r, x)
     _require_candidate(r, y)
-    lows = [
-        u
-        for u in r.candidates
-        if _at_or_strictly_above(r, x, u) and _at_or_strictly_above(r, y, u)
-    ]
-    greatest = [u for u in lows if all(_at_or_strictly_above(r, u, v) for v in lows)]
+    lows = (r._below[x] | {x}) & (r._below[y] | {y})
+    greatest = [u for u in lows if lows <= r._below[u] | {u}]
     return greatest[0] if len(greatest) == 1 else None
 
 
@@ -411,35 +418,24 @@ class CoverPair:
 
 def covers(r: OrderRelation) -> frozenset[CoverPair]:
     """All covering pairs, i.e. the Hasse diagram edges."""
-    out = set()
-    for x in r.candidates:
-        for y in r.candidates:
-            if r.strictly(x, y) and not any(
-                r.strictly(x, z) and r.strictly(z, y) for z in r.candidates
-            ):
-                out.add(CoverPair(x, y))
-    return frozenset(out)
-
-
-def _cover_maps(r: OrderRelation) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
-    below: dict[str, set[str]] = defaultdict(set)
-    above: dict[str, set[str]] = defaultdict(set)
-    for cp in covers(r):
-        below[cp.upper].add(cp.lower)
-        above[cp.lower].add(cp.upper)
-    return below, above
+    return frozenset(
+        CoverPair(x, y)
+        for x in r.candidates
+        for y in r._below[x]
+        if not r._below[x] & r._above[y]
+    )
 
 
 def join_irreducibles(r: OrderRelation) -> frozenset[str]:
     """Elements covering exactly one element."""
-    below, _ = _cover_maps(r)
-    return frozenset(x for x in r.candidates if len(below[x]) == 1)
+    counts = Counter(cp.upper for cp in covers(r))
+    return frozenset(x for x, k in counts.items() if k == 1)
 
 
 def meet_irreducibles(r: OrderRelation) -> frozenset[str]:
     """Elements covered by exactly one element."""
-    _, above = _cover_maps(r)
-    return frozenset(x for x in r.candidates if len(above[x]) == 1)
+    counts = Counter(cp.lower for cp in covers(r))
+    return frozenset(x for x, k in counts.items() if k == 1)
 
 
 def least_element(r: OrderRelation) -> str | None:

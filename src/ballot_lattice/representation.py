@@ -15,7 +15,7 @@ from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .order import OrderRelation, RankedBallot, join, meet, relation_of
+from .order import OrderRelation, RankedBallot, _exact_int, join, meet, relation_of
 
 __all__ = [
     "SUBSET_ENUMERATION_CAP",
@@ -139,15 +139,7 @@ class PairRecord:
 
 def pair_record(ballot: RankedBallot) -> PairRecord:
     """Every weak-preference pair on the ballot."""
-    r = relation_of(ballot)
-    return PairRecord(
-        frozenset(
-            (x, y)
-            for x in r.candidates
-            for y in r.candidates
-            if x != y and r.holds(x, y)
-        )
-    )
+    return PairRecord(frozenset((x, y) for x, y in relation_of(ballot).pairs if x != y))
 
 
 def Y_set(record: PairRecord) -> frozenset[str]:
@@ -421,7 +413,14 @@ def verify_concavity(
     endpoint draws are rejected and resampled.  The quadratic rule is
     concave analytically; this is a floating-point sanity check, not the
     argument.
+
+    Raises:
+        ValueError: ``trials`` is not an integer of at least 1; bools,
+            floats and strings are refused.
     """
+    trials = _exact_int(trials, "trials")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     names = sorted(witness.points)
     if len(names) < 2:
         # A single embedded point has no distinct pairs to test.

@@ -106,6 +106,25 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--n", "3")
         assert code == 1 and "BALLOT_LATTICE_MAX_N" in err
 
+    @pytest.mark.parametrize("raw", ["0_3", "\u0663", "+3"])
+    def test_env_var_must_be_an_ascii_integer(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("BALLOT_LATTICE_MAX_N", raw)
+        code, out, err = run_cli(capsys, "verify", "--n", "3")
+        assert code == 1 and out == ""
+        assert err == f"error: BALLOT_LATTICE_MAX_N must be an integer, got {raw!r}\n"
+
+    @pytest.mark.parametrize("command", ["verify", "enumerate"])
+    @pytest.mark.parametrize("raw", ["0_3", "\u0663", "3.0", "x"])
+    def test_n_must_be_an_ascii_integer(self, capsys, command, raw):
+        code, out, err = run_cli(capsys, command, "--n", raw)
+        assert code == 1 and out == ""
+        assert err == f"error: argument --n: expected an integer, got {raw!r}\n"
+
+    def test_padded_n_is_stripped(self, capsys):
+        _, plain, _ = run_cli(capsys, "enumerate", "--n", "3")
+        code, padded, err = run_cli(capsys, "enumerate", "--n", " 3 ")
+        assert code == 0 and err == "" and padded == plain
+
 
 class TestEnumerate:
     def test_text_lines(self, capsys):
@@ -190,6 +209,15 @@ class TestWitness:
         assert code == 1 and out == ""
         assert err.startswith("error: argument --trials: must be at least 1")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command", [["witness", "--ballot", "p>q"], ["verify", "--n", "3"]], ids=["witness", "verify"]
+    )
+    @pytest.mark.parametrize("trials", ["1_0", "\u0663"])
+    def test_trials_must_be_an_ascii_integer(self, capsys, command, trials):
+        code, out, err = run_cli(capsys, *command, "--trials", trials, "--format", "json")
+        assert code == 1 and out == ""
+        assert err == f"error: argument --trials: expected an integer, got {trials!r}\n"
 
     def test_text(self, capsys):
         code, out, _ = run_cli(capsys, "witness", "--ballot", "g>a~b")
@@ -379,6 +407,27 @@ class TestHarness:
     def test_theorem3_json_bytes_are_pinned(self, capsys, argv, sha256):
         # Digests of the JSON output from when the disjunct-2 search walked
         # every subset of the unranked pairs.
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            (
+                ["verify", "--n", "5", "--trials", "50"],
+                "a838add151fdd1e7c8785da12d0fd4fe9c5f87f971149a9f2d7c94f8e8bb7e3d",
+            ),
+            (
+                ["analyze", "--ballot", "f>c>k>a>h>b~d~e~g~i~j~l"],
+                "b1c76f47ce8e3d8fc0a4364a2ded923dd7f56630f3d65db5ffdb0cb5b06984a9",
+            ),
+        ],
+        ids=["verify-n5", "analyze-12-candidates"],
+    )
+    def test_relation_json_bytes_are_pinned(self, capsys, argv, sha256):
+        # Digests of the JSON output from when joins, meets and covers
+        # rescanned the pair table on every call.
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == sha256

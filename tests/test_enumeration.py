@@ -1,10 +1,12 @@
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
 import oracles
 from ballot_lattice import (
+    CLAIM_REGISTRY,
     INFORMATIONAL_CLAIMS,
     MUST_CLAIMS,
     ballot_count,
@@ -100,6 +102,16 @@ class TestExhaustiveVerify:
         )
         assert INFORMATIONAL_CLAIMS == frozenset({"R1.1", "R1.2", "T3.sub"})
         assert not (MUST_CLAIMS & INFORMATIONAL_CLAIMS)
+
+    def test_readme_table_lists_the_registry(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        lines = readme.split("### Claim codes", 1)[1].strip().splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+        end = next(i for i in range(start, len(lines)) if not lines[i].startswith("|"))
+        rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in lines[start + 2 : end]]
+        table = [(code, cls) for code, cls, _ in rows]
+        registry = [(code, "must" if must else "info") for code, (_, must) in CLAIM_REGISTRY.items()]
+        assert table == registry
 
     def test_subrecord_sweep_skipped_past_the_bound(self):
         summary = exhaustive_verify(3, sweep_subrecords=False, trials=10)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from ballot_lattice import (
@@ -174,6 +174,24 @@ class TestRelationOf:
     def test_total_iff_no_unranked(self, ballot):
         assert is_total(relation_of(ballot)) == (not ballot.unranked)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_census_against_the_four_branch_rule(self, n):
+        for ballot in enumerate_ballots([f"c{i}" for i in range(n)]):
+            rank = {c: i for i, c in enumerate(ballot.ranked)}
+            expected = set()
+            for x in ballot.candidates:
+                for y in ballot.candidates:
+                    if x == y:
+                        expected.add((x, y))
+                    elif x in rank and y in rank:
+                        if rank[x] < rank[y]:
+                            expected.add((x, y))
+                    elif x in rank:
+                        expected.add((x, y))
+                    elif y not in rank:
+                        expected.add((x, y))
+            assert relation_of(ballot).pairs == expected
+
     def test_partial_order_only_without_ties(self, deep_relation):
         assert not is_partial_order(deep_relation)
         assert is_partial_order(relation_of(parse_ballot("p>q>r")))
@@ -230,6 +248,26 @@ class TestClassifiers:
 # joins and meets
 
 
+@st.composite
+def hand_built_relations(draw, max_n=6):
+    """Arbitrary pair subsets, so non-transitive and tied relations occur."""
+    names = [f"v{i}" for i in range(draw(st.integers(1, max_n)))]
+    off_diagonal = [[x, y] for x in names for y in names if x != y]
+    chosen = draw(st.lists(st.sampled_from(off_diagonal), unique_by=tuple)) if off_diagonal else []
+    return OrderRelation.from_dict({"candidates": names, "pairs": chosen})
+
+
+@settings(max_examples=300, deadline=None)
+@given(hand_built_relations())
+def test_hand_built_relations_match_the_oracles(r):
+    assert OrderRelation.from_dict(r.to_dict()) == r
+    for x in r.candidates:
+        for y in r.candidates:
+            assert oracles.is_least_upper_bound(r, x, y, join(r, x, y))
+            assert oracles.is_greatest_lower_bound(r, x, y, meet(r, x, y))
+    assert {(c.upper, c.lower) for c in covers(r)} == oracles.naive_covers(r)
+
+
 class TestJoinMeet:
     def test_goldens(self, deep_relation):
         r = deep_relation
@@ -249,7 +287,7 @@ class TestJoinMeet:
         assert join(r, "a", "b") is None
         assert oracles.is_least_upper_bound(r, "a", "b", None)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_against_bound_property_oracle(self, n):
         for ballot in enumerate_ballots([f"c{i}" for i in range(n)]):
             r = relation_of(ballot)
@@ -287,7 +325,7 @@ class TestCovers:
         }
         assert {(c.upper, c.lower) for c in covers(deep_relation)} == expected
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_against_naive_oracle(self, n):
         for ballot in enumerate_ballots([f"c{i}" for i in range(n)]):
             r = relation_of(ballot)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 import oracles
@@ -15,6 +16,7 @@ from ballot_lattice import (
     canonical_utility,
     concave_witness,
     enumerate_ballots,
+    exhaustive_verify,
     extreme_points,
     is_representation,
     is_submodular,
@@ -359,3 +361,22 @@ class TestVerifyConcavity:
     def test_report_to_dict(self):
         report = verify_concavity(concave_witness(parse_ballot("p>q")), 10)
         assert report.to_dict() == {"ok": True, "trials": 10, "witness": None}
+
+    @pytest.mark.parametrize("trials", [0, -5, True, False, 2.5, "10", None])
+    def test_trials_must_be_a_positive_integer(self, trials):
+        witness = concave_witness(parse_ballot("p>q>r"))
+        with pytest.raises(ValueError, match=f"trials .* got {trials!r}"):
+            verify_concavity(witness, trials)
+
+    def test_trials_checked_before_the_single_point_return(self):
+        with pytest.raises(ValueError, match="trials"):
+            verify_concavity(concave_witness(parse_ballot("only")), 0)
+
+    def test_integer_like_trials_count_as_ints(self):
+        report = verify_concavity(concave_witness(parse_ballot("p>q")), np.int64(10))
+        assert report.to_dict() == {"ok": True, "trials": 10, "witness": None}
+        assert type(report.trials) is int
+
+    def test_sweep_refuses_zero_trials(self):
+        with pytest.raises(ValueError, match="trials"):
+            exhaustive_verify(3, trials=0)
