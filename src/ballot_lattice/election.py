@@ -100,9 +100,7 @@ def _validate_header(header: list[str]) -> None:
             raise ProfileError(f'header column {i + 1} must be "rank{i}"', 1)
 
 
-def load_profile(
-    path, *, candidates: Iterable[str] | None = None, fmt: str = "csv"
-) -> ElectionProfile:
+def load_profile(path, *, candidates: Iterable[str] | None = None) -> ElectionProfile:
     """Load an election from ``voter_id,rank1,...,rankJ`` CSV.
 
     Mentioned candidates are ranked in column order; everything else in
@@ -115,8 +113,6 @@ def load_profile(
             candidates outside the supplied universe, or fewer than three
             candidates overall.
     """
-    if fmt != "csv":
-        raise ValueError(f"unsupported profile format {fmt!r}")
     universe = None if candidates is None else {_check_token(c) for c in candidates}
     rows: list[tuple[int, str, list[str]]] = []
     # utf-8-sig drops the byte-order mark that spreadsheet exports put first.

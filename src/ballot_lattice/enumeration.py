@@ -31,7 +31,6 @@ from .representation import (
     pair_record,
     rationalizability_class,
     subrecord_verdicts,
-    theorem3_check,
     verify_concavity,
 )
 
@@ -170,17 +169,6 @@ class VerificationSummary:
         }
 
 
-def _subrecord_violations(ballot: RankedBallot, limit: int = 5) -> list[list[list[str]]]:
-    """Sub-records that fail the disjunction without being all-unranked."""
-    bad: list[list[list[str]]] = []
-    for chosen, verdict in subrecord_verdicts(ballot):
-        if verdict.outcome == "fails" and not verdict.all_unranked:
-            bad.append([list(p) for p in chosen])
-            if len(bad) >= limit:
-                break
-    return bad
-
-
 def _witness_issues(
     ballot: RankedBallot, record: PairRecord, trials: int
 ) -> tuple[list, str]:
@@ -203,14 +191,15 @@ def _witness_issues(
     return issues, cls
 
 
-def exhaustive_verify(
-    n: int, *, trials: int = 1000, sweep_subrecords: bool | None = None
-) -> VerificationSummary:
+def exhaustive_verify(n: int, *, trials: int = 1000) -> VerificationSummary:
     """Run every claim over the full ballot census on ``n`` candidates.
 
     The record-disjunction claims (``T3.*``) cost up to ``2^pairs`` per
-    ballot, so by default they run only for ``n <= 4``
-    (``SUBRECORD_SWEEP_MAX_N``); pass ``sweep_subrecords`` to override.
+    ballot, so they run only for ``n <= SUBRECORD_SWEEP_MAX_N`` and are
+    vacuous above it.  Both come from one pass over
+    :func:`subrecord_verdicts`: its last verdict is the full record's
+    (``T3.full``), and the first five failing sub-records that are not
+    all-unranked are ``T3.sub``'s witnesses.
     A summary is returned rather than raising, so callers decide how hard
     to fail; ``summary.ok`` is False exactly when a must-hold claim
     failed somewhere.
@@ -218,7 +207,6 @@ def exhaustive_verify(
     stats = {
         code: ClaimStats(code, text, must) for code, (text, must) in CLAIM_REGISTRY.items()
     }
-    do_t3 = sweep_subrecords if sweep_subrecords is not None else n <= SUBRECORD_SWEEP_MAX_N
     count = 0
     for ballot in enumerate_ballots(default_candidates(n)):
         count += 1
@@ -246,14 +234,18 @@ def exhaustive_verify(
                 FAILS, subject, {"expected": expected_class, "got": got_class}
             )
 
-        if do_t3 and record.pairs:
-            verdict = theorem3_check(ballot, record)
+        if n <= SUBRECORD_SWEEP_MAX_N and record.pairs:
+            violations = []
+            for chosen, verdict in subrecord_verdicts(ballot):
+                if len(violations) < 5 and not verdict.ok and not verdict.all_unranked:
+                    violations.append([list(p) for p in chosen])
+            # Sub-records come smallest first, so the last verdict is the
+            # full record's.
             stats["T3.full"].record(
                 HOLDS if verdict.ok else FAILS,
                 subject,
                 None if verdict.ok else verdict.to_dict(),
             )
-            violations = _subrecord_violations(ballot)
             stats["T3.sub"].record(
                 FAILS if violations else HOLDS, subject, violations or None
             )

@@ -76,6 +76,15 @@ def _check_token(token) -> str:
     return token
 
 
+def _pair(pair) -> tuple[str, str]:
+    """``pair`` as ``(x, y)``; it must be a 2-element tuple or list of strings."""
+    if isinstance(pair, (tuple, list)) and len(pair) == 2:
+        x, y = pair
+        if isinstance(x, str) and isinstance(y, str):
+            return (x, y)
+    raise ValueError(f"invalid pair {pair!r}: expected a 2-element tuple or list of candidate ids")
+
+
 def _exact_int(value, what: str) -> int:
     """``value`` as an exact integer; bools, floats and strings are refused."""
     if not isinstance(value, bool):
@@ -228,9 +237,11 @@ class OrderRelation:
         known = set(cands)
         pairs = set()
         for pair in self.pairs:
-            x, y = pair
+            # Exact 2-tuples skip the helper: members found among the
+            # candidates are strings, and the helper names any other pair.
+            x, y = pair if type(pair) is tuple and len(pair) == 2 else _pair(pair)
             if x not in known or y not in known:
-                raise ValueError(f"pair {pair!r} mentions an unknown candidate")
+                raise ValueError(f"pair {_pair(pair)!r} mentions an unknown candidate")
             pairs.add((x, y))
         pairs.update((c, c) for c in cands)
         object.__setattr__(self, "candidates", cands)
@@ -265,10 +276,7 @@ class OrderRelation:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "OrderRelation":
-        return cls(
-            tuple(payload["candidates"]),
-            frozenset((str(x), str(y)) for x, y in payload["pairs"]),
-        )
+        return cls(tuple(payload["candidates"]), payload["pairs"])
 
     def digest(self) -> str:
         """Short stable identifier for reports."""

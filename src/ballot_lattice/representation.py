@@ -15,10 +15,9 @@ from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .order import OrderRelation, RankedBallot, _exact_int, join, meet, relation_of
+from .order import OrderRelation, RankedBallot, _exact_int, _pair, join, meet, relation_of
 
 __all__ = [
-    "SUBSET_ENUMERATION_CAP",
     "UtilityAssignment",
     "PairRecord",
     "SpatialWitness",
@@ -37,9 +36,6 @@ __all__ = [
     "concave_witness",
     "verify_concavity",
 ]
-
-#: Upper bound on the unranked-to-unranked pairs theorem3_check accepts.
-SUBSET_ENUMERATION_CAP = 20
 
 
 def _frac(value) -> Fraction:
@@ -121,7 +117,7 @@ class PairRecord:
     pairs: frozenset[tuple[str, str]]
 
     def __post_init__(self):
-        pairs = frozenset((str(x), str(y)) for x, y in self.pairs)
+        pairs = frozenset(map(_pair, self.pairs))
         for x, y in pairs:
             if x == y:
                 raise ValueError(f"reflexive pair ({x!r}, {y!r}) not allowed in a record")
@@ -213,21 +209,19 @@ def theorem3_check(ballot: RankedBallot, sub_record: PairRecord) -> DisjunctionV
 
     Only pairs between unranked candidates can sit in a balanced
     sub-record: among pairs with a ranked source, the best-ranked source
-    is never anyone's target, so sources and targets cannot coincide.
-    A balanced set with sources ``V`` must also hold every pair of the
-    record that leaves ``V``, or the rest would share a source with it;
-    so it is fixed by ``V``.  The search therefore runs over the sets
-    ``V`` of unranked extreme-point sources (at most ``2^11`` on 12
-    candidates) rather than over subsets of the pairs, keeps those whose
-    outgoing pairs have targets exactly ``V``, and returns the one that
-    is smallest by size and then by sorted pairs, which is the first hit
-    of the subset order.  The no-pruning subset walk lives in the test
-    suite as an oracle.
+    is never anyone's target.  A balanced set with sources ``V`` must
+    hold every pair of the record that leaves ``V`` (or the rest would
+    share a source with it), so ``V`` is closed under following pairs
+    and contains a sink strongly connected component ``S``.  ``S`` is
+    the set reached from any of its members, is balanced itself (no pair
+    is reflexive, so each member is a target inside ``S``), and holds a
+    subset of ``V``'s pairs.  So the search follows the pairs from each
+    unranked source, keeps the reached sets in which every member is a
+    target, and returns the smallest by size and then by sorted pairs.
+    The subset walk and the source-set search are test oracles.
 
     Raises:
-        ValueError: empty sub-record, pairs that are not on the ballot,
-            or more unranked-to-unranked pairs than
-            ``SUBSET_ENUMERATION_CAP``.
+        ValueError: empty sub-record, or pairs that are not on the ballot.
     """
     if not sub_record.pairs:
         raise ValueError("sub-record must be nonempty")
@@ -254,21 +248,25 @@ def _disjunction(
         if e not in outgoing:
             return DisjunctionVerdict("disjunct1", e, all_unranked)
 
-    unranked_pairs = sum(1 for x, y in pairs if x in unranked and y in unranked)
-    if unranked_pairs > SUBSET_ENUMERATION_CAP:
-        raise ValueError(
-            f"subset enumeration bound exceeded: {unranked_pairs} unranked pairs, "
-            f"cap is {SUBSET_ENUMERATION_CAP}"
-        )
+    # A nonempty pool means the sub-record has a ranked member, so every
+    # unranked candidate in it is an extreme point, and with disjunct 1
+    # failed it has an outgoing pair.  Unranked candidates only point at
+    # unranked ones, so the pairs followed from the pool never leave it.
     pool = [x for x in outgoing if x in unranked and x in extremes]
     best = None
-    for size in range(1, len(pool) + 1):
-        for sources in combinations(pool, size):
-            chosen = tuple((x, y) for x in sources for y in outgoing[x])
-            if {y for _, y in chosen} != set(sources):
-                continue
-            if best is None or (len(chosen), chosen) < (len(best), best):
-                best = chosen
+    for v in pool:
+        reached = {v}
+        stack = [v]
+        while stack:
+            for y in outgoing[stack.pop()]:
+                if y not in reached:
+                    reached.add(y)
+                    stack.append(y)
+        chosen = tuple((x, y) for x in sorted(reached) for y in outgoing[x])
+        if {y for _, y in chosen} != reached:
+            continue
+        if best is None or (len(chosen), chosen) < (len(best), best):
+            best = chosen
     if best is None:
         return DisjunctionVerdict("fails", None, all_unranked)
     return DisjunctionVerdict("disjunct2", best, all_unranked)

@@ -3,7 +3,8 @@
 Everything here re-derives results straight from definitions, without the
 shortcuts the production code takes: bound properties are verified by
 full scans, the census is built by generate-and-dedup, the disjunction
-search enumerates all 2^pairs subsets without pruning, and the
+search enumerates all 2^pairs subsets without pruning (or, past that
+walk's reach, all 2^sources sets of unranked sources), and the
 instant-runoff reference recounts every round from scratch.
 """
 
@@ -128,6 +129,38 @@ def subset_disjunction_oracle(ballot: RankedBallot, pairs) -> tuple[str, object]
                 continue
             return ("disjunct2", tuple(chosen))
     return ("fails", None)
+
+
+def source_set_disjunction_oracle(ballot: RankedBallot, pairs) -> tuple[str, object]:
+    """Search every set of unranked extreme-point sources, smallest pairs first.
+
+    A balanced, detached sub-record holds every pair leaving its sources
+    ``V``, so each ``V`` fixes one candidate set of pairs; it is kept when
+    those pairs' targets are exactly ``V``.  The search costs 2^|V| sets
+    rather than 2^|pairs| subsets and finds the same witness as
+    :func:`subset_disjunction_oracle`.
+    """
+    pairs = sorted(set(pairs))
+    cands = sorted({c for pair in pairs for c in pair})
+    extremes = oracle_extremes(ballot, cands)
+    outgoing: dict[str, list[str]] = {}
+    for x, y in pairs:
+        outgoing.setdefault(x, []).append(y)
+    for e in sorted(extremes):
+        if e not in outgoing:
+            return ("disjunct1", e)
+    pool = [x for x in outgoing if x in ballot.unranked and x in extremes]
+    best = None
+    for size in range(1, len(pool) + 1):
+        for sources in combinations(pool, size):
+            chosen = tuple((x, y) for x in sources for y in outgoing[x])
+            if {y for _, y in chosen} != set(sources):
+                continue
+            if best is None or (len(chosen), chosen) < (len(best), best):
+                best = chosen
+    if best is None:
+        return ("fails", None)
+    return ("disjunct2", best)
 
 
 def validate_disjunct2_witness(ballot: RankedBallot, pairs, witness) -> bool:

@@ -151,6 +151,15 @@ class TestTheorem3:
         assert payload["verdict"]["disjunct"] == "disjunct2"
         assert len(payload["verdict"]["witness"]) == 12
 
+    def test_full_record_on_twelve_candidates(self, capsys):
+        code, out, err = run_cli(
+            capsys, "theorem3", "--full", "--ballot", "a>b~c~d~e~f~g~h~i~j~k~l", "--format", "json"
+        )
+        assert code == 0 and err == ""
+        verdict = json.loads(out)["verdict"]
+        assert verdict["disjunct"] == "disjunct2"
+        assert len(verdict["witness"]) == 110
+
     def test_full_is_the_default(self, capsys):
         code, out, _ = run_cli(capsys, "theorem3", "--ballot", "p>q>r", "--format", "json")
         assert code == 0

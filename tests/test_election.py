@@ -197,11 +197,6 @@ class TestLoadProfile:
         with pytest.raises(ProfileError, match="no ballots"):
             load_profile(path)
 
-    def test_unsupported_format(self, tmp_path):
-        path = self.write(tmp_path, "voter_id,rank1\nv1,a\n")
-        with pytest.raises(ValueError, match="unsupported profile format"):
-            load_profile(path, fmt="json")
-
 
 # ---------------------------------------------------------------------------
 # tabulation

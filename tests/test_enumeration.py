@@ -114,9 +114,9 @@ class TestExhaustiveVerify:
         assert table == registry
 
     def test_subrecord_sweep_skipped_past_the_bound(self):
-        summary = exhaustive_verify(3, sweep_subrecords=False, trials=10)
-        assert summary.claim("T3.full").vacuous == 9
-        assert summary.claim("T3.sub").vacuous == 9
+        summary = exhaustive_verify(5, trials=10)
+        assert summary.claim("T3.full").vacuous == 205
+        assert summary.claim("T3.sub").vacuous == 205
         assert summary.ok  # vacuous is not a failure
 
     def test_summary_json_is_deterministic(self):

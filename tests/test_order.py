@@ -1,3 +1,5 @@
+import string
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +28,9 @@ from ballot_lattice import (
     parse_ballot,
     relation_of,
 )
+
+
+ID_CHARS = string.ascii_letters + string.digits + "_"
 
 
 def ballot_strategy(max_n=6):
@@ -146,6 +151,18 @@ class TestParseBallot:
     def test_round_trip(self, ballot):
         assert parse_ballot(format_ballot(ballot)) == ballot
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.text(ID_CHARS, min_size=1, max_size=4), min_size=1, max_size=12, unique=True)
+        .flatmap(lambda ids: st.tuples(st.permutations(ids), st.integers(1, len(ids))))
+    )
+    def test_round_trip_on_up_to_twelve_free_form_ids(self, drawn):
+        ids, k = drawn
+        ballot = RankedBallot(tuple(ids[:k]), frozenset(ids[k:]))
+        text = format_ballot(ballot)
+        assert parse_ballot(text) == ballot
+        assert parse_ballot(text, candidates=ballot.candidates) == ballot
+
     def test_format_golden(self, deep_ballot):
         assert format_ballot(deep_ballot) == "x>y>z>a~b~c~d"
 
@@ -237,6 +254,21 @@ class TestClassifiers:
         assert payload["candidates"] == sorted(payload["candidates"])
         assert OrderRelation.from_dict(payload) == deep_relation
         assert deep_relation.digest() == relation_of(parse_ballot("x>y>z>a~b~c~d")).digest()
+
+    @pytest.mark.parametrize(
+        "pair",
+        ["ab", ["a", "b", "c"], ("a", 1), ["a"]],
+        ids=["string", "triple", "non-string", "single"],
+    )
+    def test_malformed_pairs_are_named(self, pair):
+        with pytest.raises(ValueError, match=r"invalid pair .*2-element"):
+            OrderRelation.from_dict({"candidates": ["a", "b"], "pairs": [pair]})
+        with pytest.raises(ValueError, match=r"invalid pair .*2-element"):
+            OrderRelation(("a", "b"), frozenset({pair if isinstance(pair, str) else tuple(pair)}))
+
+    def test_unknown_pair_member_is_named(self):
+        with pytest.raises(ValueError, match=r"pair \('a', 'z'\) mentions an unknown candidate"):
+            OrderRelation.from_dict({"candidates": ["a", "b"], "pairs": [["a", "z"]]})
 
     def test_relation_cap(self):
         names = tuple(f"c{i:02d}" for i in range(13))

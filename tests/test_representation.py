@@ -10,6 +10,7 @@ from ballot_lattice import (
     N_set,
     OrderRelation,
     PairRecord,
+    RankedBallot,
     SpatialWitness,
     UtilityAssignment,
     Y_set,
@@ -117,6 +118,13 @@ class TestPairRecord:
         record = PairRecord(frozenset())
         assert Y_set(record) == frozenset() and N_set(record) == frozenset()
 
+    @pytest.mark.parametrize(
+        "pair", ["bc", ("a", "b", "c"), ("a", 1)], ids=["string", "triple", "non-string"]
+    )
+    def test_malformed_pairs_are_named(self, pair):
+        with pytest.raises(ValueError, match=r"invalid pair .*2-element"):
+            PairRecord(frozenset({pair}))
+
 
 class TestRationalizabilityClass:
     def test_total_order_is_strict(self):
@@ -198,12 +206,15 @@ class TestTheorem3Check:
         with pytest.raises(ValueError, match="not on the ballot"):
             theorem3_check(deep_ballot, PairRecord(frozenset({("y", "x")})))
 
-    def test_enumeration_cap(self):
+    def test_six_unranked_past_the_old_subset_cap(self):
         ballot = parse_ballot("r>u1~u2~u3~u4~u5~u6")
-        with pytest.raises(ValueError, match="bound exceeded"):
-            theorem3_check(ballot, pair_record(ballot))
+        verdict = theorem3_check(ballot, pair_record(ballot))
+        unranked = sorted(ballot.unranked)
+        assert verdict.outcome == "disjunct2"
+        assert verdict.witness == tuple((x, y) for x in unranked for y in unranked if x != y)
+        assert len(verdict.witness) == 30
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_agrees_with_no_pruning_oracle_on_every_subrecord(self, n):
         for ballot in enumerate_ballots([f"c{i}" for i in range(n)]):
             pairs = sorted(pair_record(ballot).pairs)
@@ -275,6 +286,35 @@ class TestSourceSetSearch:
         assert verdict.outcome == "disjunct2"
         assert verdict.witness == tuple(cycle)
         assert oracles.subset_disjunction_oracle(ballot, chosen) == ("disjunct2", verdict.witness)
+
+
+class TestClosureSearch:
+    @pytest.mark.parametrize("n", range(7, 13))
+    def test_agrees_with_source_set_oracle_past_the_old_cap(self, n):
+        # Up to 11 unranked candidates (110 unranked pairs); the source-set
+        # oracle tries all 2^11 source sets.
+        rng = random.Random(n)
+        names = [f"c{i}" for i in range(n)]
+        outcomes = set()
+        for _ in range(40):
+            order = rng.sample(names, n)
+            k = rng.randint(1, n - 2)
+            ballot = RankedBallot(tuple(order[:k]), frozenset(order[k:]))
+            keep = rng.choice([0.3, 0.6, 0.9])
+            chosen = [
+                (x, y)
+                for x, y in sorted(pair_record(ballot).pairs)
+                if rng.random() < (keep if {x, y} <= ballot.unranked else 0.1)
+            ]
+            if not chosen:
+                continue
+            verdict = theorem3_check(ballot, PairRecord(frozenset(chosen)))
+            expected = oracles.source_set_disjunction_oracle(ballot, chosen)
+            outcomes.add(expected[0])
+            assert (verdict.outcome, verdict.witness) == expected
+            if verdict.outcome == "disjunct2":
+                assert oracles.validate_disjunct2_witness(ballot, chosen, verdict.witness)
+        assert "disjunct2" in outcomes
 
 
 class TestSubrecordVerdicts:
