@@ -237,11 +237,9 @@ class OrderRelation:
         known = set(cands)
         pairs = set()
         for pair in self.pairs:
-            # Exact 2-tuples skip the helper: members found among the
-            # candidates are strings, and the helper names any other pair.
-            x, y = pair if type(pair) is tuple and len(pair) == 2 else _pair(pair)
+            x, y = _pair(pair)
             if x not in known or y not in known:
-                raise ValueError(f"pair {_pair(pair)!r} mentions an unknown candidate")
+                raise ValueError(f"pair {(x, y)!r} mentions an unknown candidate")
             pairs.add((x, y))
         pairs.update((c, c) for c in cands)
         object.__setattr__(self, "candidates", cands)

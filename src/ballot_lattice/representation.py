@@ -216,9 +216,15 @@ def theorem3_check(ballot: RankedBallot, sub_record: PairRecord) -> DisjunctionV
     the set reached from any of its members, is balanced itself (no pair
     is reflexive, so each member is a target inside ``S``), and holds a
     subset of ``V``'s pairs.  So the search follows the pairs from each
-    unranked source, keeps the reached sets in which every member is a
-    target, and returns the smallest by size and then by sorted pairs.
-    The subset walk and the source-set search are test oracles.
+    unranked source and returns the reached set whose pairs are smallest
+    by size and then by sorted pairs.  No balance filter is needed: once
+    disjunct 1 fails, every unranked extreme point has an outgoing pair,
+    so every reached set contains a sink component ``S`` of at least two
+    members and, unless it is ``S``, strictly more pairs; the smallest
+    reached set is always such a component.  The verdict is ``"fails"``
+    only when there is no unranked extreme point, i.e. when the
+    sub-record's candidates are all unranked.  The subset walk and the
+    source-set search are test oracles.
 
     Raises:
         ValueError: empty sub-record, or pairs that are not on the ballot.
@@ -263,8 +269,6 @@ def _disjunction(
                     reached.add(y)
                     stack.append(y)
         chosen = tuple((x, y) for x in sorted(reached) for y in outgoing[x])
-        if {y for _, y in chosen} != reached:
-            continue
         if best is None or (len(chosen), chosen) < (len(best), best):
             best = chosen
     if best is None:
