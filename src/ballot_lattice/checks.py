@@ -9,10 +9,11 @@ element set that can be replayed against the base predicates in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .order import (
     OrderRelation,
+    RankedBallot,
     atoms,
     coatoms,
     join,
@@ -34,6 +35,7 @@ __all__ = [
     "is_modular",
     "check_remark1",
     "relation_claims",
+    "carry_or_evaluate",
 ]
 
 HOLDS = "holds"
@@ -98,20 +100,52 @@ class ClaimReport:
         in label order; on a ballot relation both members sit in the tied
         tail, so the pair maps as is when ``phi`` keeps the label order
         there, as the positional bijection between two ballots of one shape
-        does.  Any other witness (a T1 or P1 pair or triple) is chosen by
-        label order across the whole relation, so None is returned and the
-        caller evaluates the other relation directly.
+        does.  Any other witness (a T1 or P1 pair or triple, or a witness
+        without a ``kind``, such as RAT's classes, T3's records or T4's
+        issues) is either chosen by label order or not known here, so None
+        is returned and the caller evaluates the other relation directly.
         """
         witness = self.witness
         if witness is not None:
-            if witness["kind"] == "not_totally_ordered":
+            kind = witness.get("kind") if isinstance(witness, dict) else None
+            if kind == "not_totally_ordered":
                 witness = {**witness, "pair": [phi[c] for c in witness["pair"]]}
-            elif "elements" in witness:
+            elif kind is not None and "elements" in witness:
                 elements = sorted(phi[c] for c in witness["elements"])
                 witness = {**witness, "elements": elements}
             else:
                 return None
         return ClaimReport(self.claim, subject, self.verdict, witness)
+
+
+def carry_or_evaluate(
+    sources: dict,
+    ballot: RankedBallot,
+    subject: str,
+    evaluate: Callable[[RankedBallot, str], tuple[list[ClaimReport], Any]],
+) -> tuple[list[ClaimReport], Any]:
+    """``evaluate(ballot, subject)``, carried from an isomorphic ballot when possible.
+
+    A ballot's shape (ranked count, unranked count) fixes its relation up
+    to isomorphism.  ``sources`` maps each shape to the first ballot of it
+    that was evaluated, with that ballot's reports and shape-invariant
+    extra.  A later ballot of the shape gets those reports relabeled by the
+    positional bijection: i-th ranked candidate to i-th ranked candidate,
+    and the unranked candidates across in sorted order, which keeps label
+    order inside the tied tail.  When any witness cannot be carried (see
+    :meth:`ClaimReport.relabeled`) the ballot is evaluated directly.
+    """
+    shape = (len(ballot.ranked), len(ballot.unranked))
+    if shape in sources:
+        source, source_reports, extra = sources[shape]
+        phi = dict(zip(source.ranked, ballot.ranked))
+        phi.update(zip(sorted(source.unranked), sorted(ballot.unranked)))
+        reports = [report.relabeled(phi, subject) for report in source_reports]
+        if not any(report is None for report in reports):
+            return reports, extra
+    reports, extra = evaluate(ballot, subject)
+    sources.setdefault(shape, (ballot, reports, extra))
+    return reports, extra
 
 
 def is_join_semilattice(r: OrderRelation, subject: str | None = None) -> ClaimReport:

@@ -43,12 +43,12 @@ from .order import (
     relation_of,
 )
 from .representation import (
+    _disjunction,
     canonical_utility,
     concave_witness,
     pair_record,
     rationalizability_class,
     subrecord_verdicts,
-    theorem3_check,
     verify_concavity,
 )
 
@@ -271,7 +271,8 @@ def _cmd_theorem3(args) -> int:
         _emit(payload, args, render)
         return 0
 
-    verdict = theorem3_check(ballot, record)
+    # The record is the ballot's own, so there is no sub-record to validate.
+    verdict = _disjunction(ballot, record.pairs)
     payload = {
         "ballot": format_ballot(ballot),
         "mode": "full",

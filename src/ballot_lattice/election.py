@@ -19,7 +19,7 @@ from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .checks import ClaimReport, relation_claims
+from .checks import ClaimReport, carry_or_evaluate, relation_claims
 from .enumeration import enumerate_ballots
 from .order import (
     MAX_RELATION_CANDIDATES,
@@ -323,8 +323,8 @@ def truncation_experiment(
     return TruncationReport(results, divergence)
 
 
-def _order_block(ballot: RankedBallot, subject: str) -> tuple[dict, list[ClaimReport], str]:
-    """Order flags, relation claims and rationalizability class of one ballot."""
+def _order_block(ballot: RankedBallot, subject: str) -> tuple[list[ClaimReport], tuple[dict, str]]:
+    """Relation claims, then order flags and rationalizability class, of one ballot."""
     rel = relation_of(ballot)
     flags = {
         "is_top_truncated": is_top_truncated(rel),
@@ -332,7 +332,7 @@ def _order_block(ballot: RankedBallot, subject: str) -> tuple[dict, list[ClaimRe
         "is_total": is_total(rel),
     }
     cls = rationalizability_class(canonical_utility(ballot), pair_record(ballot))
-    return flags, relation_claims(rel, subject), cls
+    return relation_claims(rel, subject), (flags, cls)
 
 
 def profile_report(profile: ElectionProfile) -> dict:
@@ -343,20 +343,16 @@ def profile_report(profile: ElectionProfile) -> dict:
     cap; tabulation itself has no such cap.
 
     The order-level results depend only on a ballot's shape (ranked count,
-    unranked count), so they are evaluated on the first ballot of each
-    shape and carried to the shape's other ballots by the positional
-    bijection: i-th ranked candidate to i-th ranked candidate, and the
-    unranked candidates across in sorted order.  That is an isomorphism of
-    the induced relations which keeps label order inside the tied tail.  A
-    claim whose witness cannot be carried over (see
-    :meth:`ClaimReport.relabeled`) sends that ballot to direct evaluation.
+    unranked count), so :func:`~ballot_lattice.checks.carry_or_evaluate`
+    evaluates them on the first ballot of each shape and carries them to
+    the shape's other ballots by isomorphism.
     """
     n = len(profile.candidates)
     groups: dict[RankedBallot, list[str]] = {}
     for voter, ballot in profile.ballots:
         groups.setdefault(ballot, []).append(voter)
 
-    shapes: dict[tuple[int, int], tuple[RankedBallot, dict, list[ClaimReport], str]] = {}
+    shapes: dict = {}
     entries = []
     total_ranked = 0
     for ballot, voters in sorted(groups.items(), key=lambda kv: format_ballot(kv[0])):
@@ -369,18 +365,7 @@ def profile_report(profile: ElectionProfile) -> dict:
             "ranked_fraction": str(Fraction(len(ballot.ranked), n)),
         }
         if n <= MAX_RELATION_CANDIDATES:
-            shape = (len(ballot.ranked), len(ballot.unranked))
-            claims = None
-            if shape in shapes:
-                source, flags, source_claims, cls = shapes[shape]
-                phi = dict(zip(source.ranked, ballot.ranked))
-                phi.update(zip(sorted(source.unranked), sorted(ballot.unranked)))
-                claims = [report.relabeled(phi, text) for report in source_claims]
-                if any(report is None for report in claims):
-                    claims = None
-            if claims is None:
-                flags, claims, cls = _order_block(ballot, text)
-                shapes.setdefault(shape, (ballot, flags, claims, cls))
+            claims, (flags, cls) = carry_or_evaluate(shapes, ballot, text, _order_block)
             entry["order"] = dict(flags)
             entry["claims"] = [report.to_dict() for report in claims]
             entry["rationalizability"] = cls

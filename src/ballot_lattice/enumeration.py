@@ -11,6 +11,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
 from typing import Iterable, Iterator
 
@@ -19,6 +20,8 @@ from .checks import (
     FAILS,
     HOLDS,
     VACUOUS,
+    ClaimReport,
+    carry_or_evaluate,
     relation_claims,
 )
 from .order import RankedBallot, format_ballot, relation_of
@@ -191,12 +194,65 @@ def _witness_issues(
     return issues, cls
 
 
+def _claim_block(
+    ballot: RankedBallot, subject: str, trials: int
+) -> tuple[list[ClaimReport], None]:
+    """Every claim's report on one census ballot, evaluated directly."""
+
+    def report(code: str, ok: bool, witness=None) -> ClaimReport:
+        return ClaimReport(code, subject, HOLDS if ok else FAILS, None if ok else witness)
+
+    rel = relation_of(ballot)
+    reports = relation_claims(rel, subject)
+
+    util = canonical_utility(ballot)
+    reports.append(report("C1.repr", is_representation(util, rel)))
+    reports.append(report("C1.submod", is_submodular(util, rel)))
+
+    record = pair_record(ballot)
+    expected_class = "strict" if ballot.is_total() else "almost_strict"
+    got_class = rationalizability_class(util, record)
+    reports.append(
+        report("RAT", got_class == expected_class, {"expected": expected_class, "got": got_class})
+    )
+
+    if len(rel.candidates) <= SUBRECORD_SWEEP_MAX_N and record.pairs:
+        violations = []
+        for chosen, verdict in subrecord_verdicts(ballot):
+            if len(violations) < 5 and not verdict.ok and not verdict.all_unranked:
+                violations.append([list(p) for p in chosen])
+        # Sub-records come smallest first, so the last verdict is the
+        # full record's.
+        reports.append(report("T3.full", verdict.ok, verdict.to_dict()))
+        reports.append(report("T3.sub", not violations, violations))
+    else:
+        reports.append(ClaimReport("T3.full", subject, VACUOUS))
+        reports.append(ClaimReport("T3.sub", subject, VACUOUS))
+
+    issues, got_class = _witness_issues(ballot, record, trials)
+    reports.append(
+        report(
+            "T4",
+            not issues and got_class == expected_class,
+            {"issues": issues, "class": got_class, "expected": expected_class},
+        )
+    )
+    return reports, None
+
+
 def exhaustive_verify(n: int, *, trials: int = 1000) -> VerificationSummary:
     """Run every claim over the full ballot census on ``n`` candidates.
 
+    Every claim is a property of a ballot's relation up to relabeling, so
+    each shape (ranked count, unranked count) is checked once, on its first
+    census ballot, and the reports are carried to the shape's other ballots
+    by isomorphism (:func:`~ballot_lattice.checks.carry_or_evaluate`); a
+    ballot whose witnesses cannot be carried is checked directly.  T4's
+    concavity sampling therefore draws ``trials`` samples once per shape.
+
     The record-disjunction claims (``T3.*``) cost up to ``2^pairs`` per
-    ballot, so they run only for ``n <= SUBRECORD_SWEEP_MAX_N`` and are
-    vacuous above it.  Both come from one pass over
+    checked ballot, so they run only for ``n <= SUBRECORD_SWEEP_MAX_N`` and
+    are vacuous above it.  Both come from one pass over
     :func:`subrecord_verdicts`: its last verdict is the full record's
     (``T3.full``), and the first five failing sub-records that are not
     all-unranked are ``T3.sub``'s witnesses.
@@ -207,59 +263,13 @@ def exhaustive_verify(n: int, *, trials: int = 1000) -> VerificationSummary:
     stats = {
         code: ClaimStats(code, text, must) for code, (text, must) in CLAIM_REGISTRY.items()
     }
+    shapes: dict = {}
+    evaluate = partial(_claim_block, trials=trials)
     count = 0
     for ballot in enumerate_ballots(default_candidates(n)):
         count += 1
         subject = format_ballot(ballot)
-        rel = relation_of(ballot)
-
-        for report in relation_claims(rel, subject):
+        reports, _ = carry_or_evaluate(shapes, ballot, subject, evaluate)
+        for report in reports:
             stats[report.claim].record(report.verdict, subject, report.witness)
-
-        util = canonical_utility(ballot)
-        stats["C1.repr"].record(
-            HOLDS if is_representation(util, rel) else FAILS, subject
-        )
-        stats["C1.submod"].record(
-            HOLDS if is_submodular(util, rel) else FAILS, subject
-        )
-
-        record = pair_record(ballot)
-        expected_class = "strict" if ballot.is_total() else "almost_strict"
-        got_class = rationalizability_class(util, record)
-        if got_class == expected_class:
-            stats["RAT"].record(HOLDS, subject)
-        else:
-            stats["RAT"].record(
-                FAILS, subject, {"expected": expected_class, "got": got_class}
-            )
-
-        if n <= SUBRECORD_SWEEP_MAX_N and record.pairs:
-            violations = []
-            for chosen, verdict in subrecord_verdicts(ballot):
-                if len(violations) < 5 and not verdict.ok and not verdict.all_unranked:
-                    violations.append([list(p) for p in chosen])
-            # Sub-records come smallest first, so the last verdict is the
-            # full record's.
-            stats["T3.full"].record(
-                HOLDS if verdict.ok else FAILS,
-                subject,
-                None if verdict.ok else verdict.to_dict(),
-            )
-            stats["T3.sub"].record(
-                FAILS if violations else HOLDS, subject, violations or None
-            )
-        else:
-            stats["T3.full"].record(VACUOUS, subject)
-            stats["T3.sub"].record(VACUOUS, subject)
-
-        issues, got_class = _witness_issues(ballot, record, trials)
-        if not issues and got_class == expected_class:
-            stats["T4"].record(HOLDS, subject)
-        else:
-            stats["T4"].record(
-                FAILS,
-                subject,
-                {"issues": issues, "class": got_class, "expected": expected_class},
-            )
     return VerificationSummary(n, count, list(stats.values()))

@@ -229,8 +229,6 @@ def theorem3_check(ballot: RankedBallot, sub_record: PairRecord) -> DisjunctionV
     Raises:
         ValueError: empty sub-record, or pairs that are not on the ballot.
     """
-    if not sub_record.pairs:
-        raise ValueError("sub-record must be nonempty")
     full = pair_record(ballot)
     if not sub_record.pairs <= full.pairs:
         stray = sorted(sub_record.pairs - full.pairs)
@@ -241,7 +239,13 @@ def theorem3_check(ballot: RankedBallot, sub_record: PairRecord) -> DisjunctionV
 def _disjunction(
     ballot: RankedBallot, pairs: frozenset[tuple[str, str]]
 ) -> DisjunctionVerdict:
-    """:func:`theorem3_check` on pairs already known to be a nonempty sub-record."""
+    """:func:`theorem3_check` on pairs already known to be on the ballot.
+
+    Raises:
+        ValueError: empty ``pairs``.
+    """
+    if not pairs:
+        raise ValueError("sub-record must be nonempty")
     unranked = ballot.unranked
     cands = sorted({c for pair in pairs for c in pair})
     all_unranked = all(c in unranked for c in cands)

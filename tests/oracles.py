@@ -12,8 +12,25 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
+from ballot_lattice.checks import CLAIM_REGISTRY, FAILS, HOLDS, VACUOUS, relation_claims
 from ballot_lattice.election import ElectionProfile
-from ballot_lattice.order import OrderRelation, RankedBallot, relation_of
+from ballot_lattice.enumeration import (
+    SUBRECORD_SWEEP_MAX_N,
+    ClaimStats,
+    VerificationSummary,
+    _witness_issues,
+    default_candidates,
+    enumerate_ballots,
+)
+from ballot_lattice.order import OrderRelation, RankedBallot, format_ballot, relation_of
+from ballot_lattice.representation import (
+    canonical_utility,
+    is_representation,
+    is_submodular,
+    pair_record,
+    rationalizability_class,
+    subrecord_verdicts,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +109,59 @@ def closed_form_count(n: int) -> int:
     if n == 1:
         return 1
     return sum(fact(n) // fact(n - k) for k in range(1, n + 1)) - fact(n)
+
+
+def direct_verify(n: int, trials: int = 1000) -> VerificationSummary:
+    """The claim sweep with every census ballot evaluated on its own.
+
+    The reference for ``exhaustive_verify``, which checks one ballot per
+    shape and carries the reports to the rest by isomorphism.
+    """
+    stats = {
+        code: ClaimStats(code, text, must) for code, (text, must) in CLAIM_REGISTRY.items()
+    }
+    count = 0
+    for ballot in enumerate_ballots(default_candidates(n)):
+        count += 1
+        subject = format_ballot(ballot)
+        rel = relation_of(ballot)
+
+        for report in relation_claims(rel, subject):
+            stats[report.claim].record(report.verdict, subject, report.witness)
+
+        util = canonical_utility(ballot)
+        stats["C1.repr"].record(HOLDS if is_representation(util, rel) else FAILS, subject)
+        stats["C1.submod"].record(HOLDS if is_submodular(util, rel) else FAILS, subject)
+
+        record = pair_record(ballot)
+        expected_class = "strict" if ballot.is_total() else "almost_strict"
+        got_class = rationalizability_class(util, record)
+        if got_class == expected_class:
+            stats["RAT"].record(HOLDS, subject)
+        else:
+            stats["RAT"].record(FAILS, subject, {"expected": expected_class, "got": got_class})
+
+        if n <= SUBRECORD_SWEEP_MAX_N and record.pairs:
+            violations = []
+            for chosen, verdict in subrecord_verdicts(ballot):
+                if len(violations) < 5 and not verdict.ok and not verdict.all_unranked:
+                    violations.append([list(p) for p in chosen])
+            stats["T3.full"].record(
+                HOLDS if verdict.ok else FAILS, subject, None if verdict.ok else verdict.to_dict()
+            )
+            stats["T3.sub"].record(FAILS if violations else HOLDS, subject, violations or None)
+        else:
+            stats["T3.full"].record(VACUOUS, subject)
+            stats["T3.sub"].record(VACUOUS, subject)
+
+        issues, got_class = _witness_issues(ballot, record, trials)
+        if not issues and got_class == expected_class:
+            stats["T4"].record(HOLDS, subject)
+        else:
+            stats["T4"].record(
+                FAILS, subject, {"issues": issues, "class": got_class, "expected": expected_class}
+            )
+    return VerificationSummary(n, count, list(stats.values()))
 
 
 # ---------------------------------------------------------------------------

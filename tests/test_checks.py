@@ -20,6 +20,7 @@ from ballot_lattice import (
     relation_claims,
     relation_of,
 )
+from ballot_lattice.checks import carry_or_evaluate
 
 
 def relation(names, pairs):
@@ -211,3 +212,52 @@ class TestRelationClaims:
         tied_top = relation("abc", [("a", "c"), ("b", "c"), ("a", "b"), ("b", "a")])
         assert is_modular(tied_top).verdict == "fails"
         assert is_modular(tied_top).relabeled(phi, "t") is None
+
+    @pytest.mark.parametrize(
+        "claim,witness",
+        [
+            ("RAT", {"expected": "almost_strict", "got": "strict"}),
+            ("T4", {"issues": [], "class": "strict", "expected": "almost_strict"}),
+            ("T3.sub", [[["b", "c"]], [["c", "b"]]]),
+            ("T3.full", {"disjunct": "fails", "witness": None, "all_unranked": False}),
+        ],
+        ids=["rat-classes", "t4-issues", "t3-sub-records", "t3-full-verdict"],
+    )
+    def test_relabeled_declines_witnesses_it_does_not_know(self, claim, witness):
+        phi = dict(zip("abc", "cab"))
+        assert ClaimReport(claim, "s", "fails", witness).relabeled(phi, "t") is None
+
+
+class TestCarryOrEvaluate:
+    @staticmethod
+    def counting(witness_of):
+        calls = []
+
+        def evaluate(ballot, subject):
+            calls.append(subject)
+            return [ClaimReport("P1", subject, "fails", witness_of(ballot))], len(calls)
+
+        return calls, evaluate
+
+    def test_carries_a_shape_to_its_other_ballots(self):
+        calls, evaluate = self.counting(lambda b: {"kind": "x", "elements": sorted(b.unranked)})
+        sources: dict = {}
+        first = carry_or_evaluate(sources, parse_ballot("a>b~c"), "a>b~c", evaluate)
+        second = carry_or_evaluate(sources, parse_ballot("c>a~b"), "c>a~b", evaluate)
+        assert calls == ["a>b~c"]
+        assert second[1] == first[1] == 1  # the source's extra comes along
+        assert second[0] == [
+            ClaimReport("P1", "c>a~b", "fails", {"kind": "x", "elements": ["a", "b"]})
+        ]
+
+    def test_declines_a_pair_witness_and_evaluates_directly(self):
+        calls, evaluate = self.counting(
+            lambda b: {"kind": "not_modular", "triple": sorted(b.unranked | set(b.ranked))}
+        )
+        sources: dict = {}
+        carry_or_evaluate(sources, parse_ballot("a>b~c"), "a>b~c", evaluate)
+        reports, extra = carry_or_evaluate(sources, parse_ballot("c>a~b"), "c>a~b", evaluate)
+        assert calls == ["a>b~c", "c>a~b"] and extra == 2
+        assert reports[0].subject == "c>a~b"
+        # the first ballot stays the shape's source
+        assert sources[(1, 2)][0] == parse_ballot("a>b~c")

@@ -160,6 +160,15 @@ class TestTheorem3:
         assert verdict["disjunct"] == "disjunct2"
         assert len(verdict["witness"]) == 110
 
+    def test_full_record_builds_the_relation_once(self, capsys, relation_builds):
+        code, _, err = run_cli(capsys, "theorem3", "--full", "--ballot", "a>b~c~d~e~f")
+        assert code == 0 and err == ""
+        assert len(relation_builds) == 1
+
+    def test_full_record_of_one_candidate_is_refused(self, capsys):
+        code, _, err = run_cli(capsys, "theorem3", "--ballot", "a", "--candidates", "a")
+        assert code == 1 and err == "error: sub-record must be nonempty\n"
+
     def test_full_is_the_default(self, capsys):
         code, out, _ = run_cli(capsys, "theorem3", "--ballot", "p>q>r", "--format", "json")
         assert code == 0

@@ -1,12 +1,13 @@
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
 import oracles
+from ballot_lattice import enumeration
 from ballot_lattice import (
     CLAIM_REGISTRY,
+    ClaimReport,
     INFORMATIONAL_CLAIMS,
     MUST_CLAIMS,
     ballot_count,
@@ -135,19 +136,52 @@ class TestExhaustiveVerify:
         assert summary.claim("R1.4").fails == 1
         assert not summary.ok and summary.must_failures == ["R1.4"]
 
-    def test_relation_built_at_most_four_times_per_ballot(self, monkeypatch):
+    def test_relation_built_at_most_four_times_per_ballot(self, relation_builds):
         # The sub-record sweep builds the ballot's record once, so relation
         # builds do not grow with the 2^pairs sub-records of a ballot.
-        calls = []
-
-        def counting(ballot):
-            calls.append(ballot)
-            return relation_of(ballot)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("ballot_lattice") and getattr(module, "relation_of", None) is relation_of:
-                monkeypatch.setattr(module, "relation_of", counting)
         summary = exhaustive_verify(4, trials=10)
         assert summary.ok
         assert summary.claim("T3.sub").holds == ballot_count(4)
-        assert 0 < len(calls) <= 4 * ballot_count(4)
+        assert 0 < len(relation_builds) <= 4 * ballot_count(4)
+
+
+class TestCensusQuotient:
+    """One checked ballot per shape, carried by isomorphism, against ground truth."""
+
+    @pytest.mark.parametrize(
+        "n,trials",
+        [(n, t) for n in (1, 2, 3, 4, 5) for t in (1, 1000)] + [(6, 1000)],
+    )
+    def test_matches_the_direct_sweep(self, n, trials):
+        assert exhaustive_verify(n, trials=trials).to_dict() == (
+            oracles.direct_verify(n, trials).to_dict()
+        )
+
+    def test_relation_built_at_most_twice_per_shape(self, relation_builds):
+        summary = exhaustive_verify(6)
+        shapes = {(len(b.ranked), len(b.unranked)) for b in enumerate_ballots(default_candidates(6))}
+        assert summary.ballot_count == 1236 and len(shapes) == 5
+        assert 0 < len(relation_builds) <= 2 * len(shapes)
+
+    def test_pair_witness_sends_every_ballot_to_direct_evaluation(self, monkeypatch):
+        # A T1 pair witness is chosen by label order, so it cannot be
+        # carried; each ballot is then checked on its own and reports its
+        # own pair.
+        real = enumeration.relation_claims
+        evaluated = []
+
+        def failing_t1(rel, subject):
+            evaluated.append(subject)
+            reports = real(rel, subject)
+            pair = sorted(rel.candidates)[:2]
+            reports[0] = ClaimReport("T1", subject, "fails", {"kind": "missing_join", "pair": pair})
+            return reports
+
+        monkeypatch.setattr(enumeration, "relation_claims", failing_t1)
+        summary = exhaustive_verify(3, trials=1)
+        t1 = summary.claim("T1")
+        assert t1.fails == 9
+        census = [format_ballot(b) for b in enumerate_ballots("abc")]
+        assert evaluated == census
+        assert [w["subject"] for w in t1.witnesses] == census
+        assert not summary.ok and summary.must_failures == ["T1"]
