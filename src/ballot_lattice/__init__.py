@@ -65,6 +65,7 @@ from .order import (
     relation_of,
 )
 from .representation import (
+    ALL_SUBSETS_CAP,
     ConcavityReport,
     DisjunctionVerdict,
     N_set,

@@ -78,6 +78,15 @@ class ClaimReport:
     verdict: str
     witness: Any = None
 
+    @classmethod
+    def of(cls, claim: str, subject: str, ok: bool, witness: Any = None) -> "ClaimReport":
+        """The verdict of a checked claim: ``holds`` without a witness, else ``fails`` with it.
+
+        Every holding or failing report is made here; only ``vacuous``
+        reports, for claims with nothing to check, are built directly.
+        """
+        return cls(claim, subject, HOLDS) if ok else cls(claim, subject, FAILS, witness)
+
     @property
     def ok(self) -> bool:
         return self.verdict != FAILS
@@ -148,6 +157,17 @@ def carry_or_evaluate(
     return reports, extra
 
 
+def _join_failure(r: OrderRelation) -> dict | None:
+    gap = transitivity_gap(r)
+    if gap is not None:
+        return {"kind": "not_transitive", "triple": list(gap)}
+    for x in r.candidates:
+        for y in r.candidates:
+            if x <= y and join(r, x, y) is None:
+                return {"kind": "missing_join", "pair": [x, y]}
+    return None
+
+
 def is_join_semilattice(r: OrderRelation, subject: str | None = None) -> ClaimReport:
     """Claim T1: the relation is an order and every pair has a join.
 
@@ -155,34 +175,12 @@ def is_join_semilattice(r: OrderRelation, subject: str | None = None) -> ClaimRe
     weak order, otherwise with the first pair (in lexicographic order)
     lacking a least upper bound.
     """
-    subject = subject or r.digest()
-    gap = transitivity_gap(r)
-    if gap is not None:
-        return ClaimReport(
-            "T1", subject, FAILS, {"kind": "not_transitive", "triple": list(gap)}
-        )
-    for x in r.candidates:
-        for y in r.candidates:
-            if x <= y and join(r, x, y) is None:
-                return ClaimReport(
-                    "T1", subject, FAILS, {"kind": "missing_join", "pair": [x, y]}
-                )
-    return ClaimReport("T1", subject, HOLDS)
+    witness = _join_failure(r)
+    return ClaimReport.of("T1", subject or r.digest(), witness is None, witness)
 
 
-def is_modular(r: OrderRelation, subject: str | None = None) -> ClaimReport:
-    """Claim P1: strong quasisubmodularity over all triples.
-
-    The premise counts ``x`` equal to ``x v y`` as tied, which is how the
-    condition ever fires on a relation without non-trivial ties.  Triples
-    whose premise needs a missing join are skipped (the premise cannot be
-    evaluated); a missing join in the conclusion is a failure.
-    """
-    subject = subject or r.digest()
-    joins: dict[tuple[str, str], str | None] = {}
-    for x in r.candidates:
-        for y in r.candidates:
-            joins[(x, y)] = join(r, x, y)
+def _modularity_failure(r: OrderRelation) -> dict | None:
+    joins = {(x, y): join(r, x, y) for x in r.candidates for y in r.candidates}
 
     def tied_or_equal(u: str, v: str) -> bool:
         return u == v or r.indifferent(u, v)
@@ -196,32 +194,31 @@ def is_modular(r: OrderRelation, subject: str | None = None) -> ClaimReport:
                 left = joins[(x, z)]
                 right = joins[(xy, z)]
                 if left is None or right is None:
-                    return ClaimReport(
-                        "P1",
-                        subject,
-                        FAILS,
-                        {"kind": "missing_join", "triple": [x, y, z]},
-                    )
+                    return {"kind": "missing_join", "triple": [x, y, z]}
                 if not tied_or_equal(left, right):
-                    return ClaimReport(
-                        "P1",
-                        subject,
-                        FAILS,
-                        {
-                            "kind": "not_modular",
-                            "triple": [x, y, z],
-                            "left": left,
-                            "right": right,
-                        },
-                    )
-    return ClaimReport("P1", subject, HOLDS)
+                    return {
+                        "kind": "not_modular", "triple": [x, y, z], "left": left, "right": right
+                    }
+    return None
 
 
-def _first_untotal_pair(r: OrderRelation) -> tuple[str, str] | None:
+def is_modular(r: OrderRelation, subject: str | None = None) -> ClaimReport:
+    """Claim P1: strong quasisubmodularity over all triples.
+
+    The premise counts ``x`` equal to ``x v y`` as tied, which is how the
+    condition ever fires on a relation without non-trivial ties.  Triples
+    whose premise needs a missing join are skipped (the premise cannot be
+    evaluated); a missing join in the conclusion is a failure.
+    """
+    witness = _modularity_failure(r)
+    return ClaimReport.of("P1", subject or r.digest(), witness is None, witness)
+
+
+def _first_untotal_pair(r: OrderRelation) -> list[str] | None:
     for x in r.candidates:
         for y in r.candidates:
             if x < y and not (r.strictly(x, y) or r.strictly(y, x)):
-                return (x, y)
+                return [x, y]
     return None
 
 
@@ -234,74 +231,31 @@ def check_remark1(r: OrderRelation, subject: str | None = None) -> list[ClaimRep
     """
     subject = subject or r.digest()
     n = len(r.candidates)
-    out: list[ClaimReport] = []
-
     ji = join_irreducibles(r)
-    if not ji:
-        out.append(ClaimReport("R1.1", subject, VACUOUS))
-        out.append(ClaimReport("R1.2", subject, VACUOUS))
-    else:
+    if ji:
         stray = sorted(ji - atoms(r))
-        if stray:
-            out.append(
-                ClaimReport(
-                    "R1.1",
-                    subject,
-                    FAILS,
-                    {"kind": "join_irreducible_not_atom", "elements": stray},
-                )
-            )
-        else:
-            out.append(ClaimReport("R1.1", subject, HOLDS))
         pair = _first_untotal_pair(r)
-        if pair is None:
-            out.append(ClaimReport("R1.2", subject, HOLDS))
-        else:
-            out.append(
-                ClaimReport(
-                    "R1.2",
-                    subject,
-                    FAILS,
-                    {"kind": "not_totally_ordered", "pair": list(pair)},
-                )
-            )
-
-    mi = meet_irreducibles(r)
-    if len(mi) == n - 1:
-        out.append(ClaimReport("R1.3", subject, HOLDS))
+        out = [
+            ClaimReport.of(
+                "R1.1", subject, not stray, {"kind": "join_irreducible_not_atom", "elements": stray}
+            ),
+            ClaimReport.of(
+                "R1.2", subject, pair is None, {"kind": "not_totally_ordered", "pair": pair}
+            ),
+        ]
     else:
-        out.append(
-            ClaimReport(
-                "R1.3",
-                subject,
-                FAILS,
-                {
-                    "kind": "meet_irreducible_count",
-                    "count": len(mi),
-                    "expected": n - 1,
-                    "elements": sorted(mi),
-                },
-            )
-        )
-
-    cps = coatoms(r)
-    if 1 <= len(cps) <= n - 1:
-        out.append(ClaimReport("R1.4", subject, HOLDS))
-    else:
-        out.append(
-            ClaimReport(
-                "R1.4",
-                subject,
-                FAILS,
-                {
-                    "kind": "coatom_count",
-                    "count": len(cps),
-                    "allowed": [1, n - 1],
-                    "elements": sorted(cps),
-                },
-            )
-        )
-    return out
+        out = [ClaimReport("R1.1", subject, VACUOUS), ClaimReport("R1.2", subject, VACUOUS)]
+    mi = sorted(meet_irreducibles(r))
+    cps = sorted(coatoms(r))
+    mi_count = {
+        "kind": "meet_irreducible_count", "count": len(mi), "expected": n - 1, "elements": mi
+    }
+    cp_count = {"kind": "coatom_count", "count": len(cps), "allowed": [1, n - 1], "elements": cps}
+    return [
+        *out,
+        ClaimReport.of("R1.3", subject, len(mi) == n - 1, mi_count),
+        ClaimReport.of("R1.4", subject, 1 <= len(cps) <= n - 1, cp_count),
+    ]
 
 
 def relation_claims(r: OrderRelation, subject: str | None = None) -> list[ClaimReport]:

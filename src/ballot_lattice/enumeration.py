@@ -50,8 +50,9 @@ __all__ = [
 
 MAX_ENUMERATION_CANDIDATES = 7
 
-#: Sub-record sweeps cost 2^(pair count) per ballot; past this candidate
-#: count the record-disjunction claims are skipped.
+#: A sub-record sweep costs 2^(pair count), once per ballot shape (ranked
+#: count, unranked count); past this candidate count the record-disjunction
+#: claims are skipped.
 SUBRECORD_SWEEP_MAX_N = 4
 
 
@@ -198,23 +199,18 @@ def _claim_block(
     ballot: RankedBallot, subject: str, trials: int
 ) -> tuple[list[ClaimReport], None]:
     """Every claim's report on one census ballot, evaluated directly."""
-
-    def report(code: str, ok: bool, witness=None) -> ClaimReport:
-        return ClaimReport(code, subject, HOLDS if ok else FAILS, None if ok else witness)
-
     rel = relation_of(ballot)
     reports = relation_claims(rel, subject)
 
     util = canonical_utility(ballot)
-    reports.append(report("C1.repr", is_representation(util, rel)))
-    reports.append(report("C1.submod", is_submodular(util, rel)))
+    reports.append(ClaimReport.of("C1.repr", subject, is_representation(util, rel)))
+    reports.append(ClaimReport.of("C1.submod", subject, is_submodular(util, rel)))
 
     record = pair_record(ballot)
     expected_class = "strict" if ballot.is_total() else "almost_strict"
     got_class = rationalizability_class(util, record)
-    reports.append(
-        report("RAT", got_class == expected_class, {"expected": expected_class, "got": got_class})
-    )
+    rat = {"expected": expected_class, "got": got_class}
+    reports.append(ClaimReport.of("RAT", subject, got_class == expected_class, rat))
 
     if len(rel.candidates) <= SUBRECORD_SWEEP_MAX_N and record.pairs:
         violations = []
@@ -223,20 +219,15 @@ def _claim_block(
                 violations.append([list(p) for p in chosen])
         # Sub-records come smallest first, so the last verdict is the
         # full record's.
-        reports.append(report("T3.full", verdict.ok, verdict.to_dict()))
-        reports.append(report("T3.sub", not violations, violations))
+        reports.append(ClaimReport.of("T3.full", subject, verdict.ok, verdict.to_dict()))
+        reports.append(ClaimReport.of("T3.sub", subject, not violations, violations))
     else:
         reports.append(ClaimReport("T3.full", subject, VACUOUS))
         reports.append(ClaimReport("T3.sub", subject, VACUOUS))
 
     issues, got_class = _witness_issues(ballot, record, trials)
-    reports.append(
-        report(
-            "T4",
-            not issues and got_class == expected_class,
-            {"issues": issues, "class": got_class, "expected": expected_class},
-        )
-    )
+    t4 = {"issues": issues, "class": got_class, "expected": expected_class}
+    reports.append(ClaimReport.of("T4", subject, not issues and got_class == expected_class, t4))
     return reports, None
 
 

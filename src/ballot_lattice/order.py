@@ -54,8 +54,10 @@ __all__ = [
 
 _TOKEN = re.compile(r"[A-Za-z0-9_]+\Z")
 
-# Pair tables and the predicates over them are quadratic in the candidate
-# count, and the enumeration oracle on top of them is exponential.
+# Pair tables are quadratic in the candidate count, and transitivity and
+# modularity (P1) are cubic; T3 is polynomial.  The one exponential walk
+# left, the sub-record sweep, has its own cap
+# (``representation.ALL_SUBSETS_CAP``), so this cap bounds polynomial work.
 MAX_RELATION_CANDIDATES = 12
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from .order import OrderRelation, RankedBallot, _exact_int, _pair, join, meet, relation_of
 
 __all__ = [
+    "ALL_SUBSETS_CAP",
     "UtilityAssignment",
     "PairRecord",
     "SpatialWitness",
@@ -280,6 +281,11 @@ def _disjunction(
     return DisjunctionVerdict("disjunct2", best, all_unranked)
 
 
+#: Sweeping every nonempty sub-record is 2^pairs checks;
+#: :func:`subrecord_verdicts` refuses a record with more pairs than this.
+ALL_SUBSETS_CAP = 16
+
+
 def subrecord_verdicts(
     ballot: RankedBallot,
 ) -> Iterator[tuple[tuple[tuple[str, str], ...], DisjunctionVerdict]]:
@@ -287,12 +293,23 @@ def subrecord_verdicts(
 
     Yields ``(pairs, verdict)`` in increasing-size, lexicographic order
     over the sorted record, building the record once; there are
-    ``2^pairs - 1`` of them, so callers bound the record size.
+    ``2^pairs - 1`` of them.
+
+    Raises:
+        ValueError: the record has more than ``ALL_SUBSETS_CAP`` pairs.
+            The check runs on the call, before anything is yielded.
     """
     pairs = sorted(pair_record(ballot).pairs)
-    for size in range(1, len(pairs) + 1):
-        for chosen in combinations(pairs, size):
-            yield chosen, _disjunction(ballot, frozenset(chosen))
+    if len(pairs) > ALL_SUBSETS_CAP:
+        raise ValueError(
+            f"a sub-record sweep checks 2^pairs sub-records; {len(pairs)} pairs "
+            f"exceeds the cap of {ALL_SUBSETS_CAP}"
+        )
+    return (
+        (chosen, _disjunction(ballot, frozenset(chosen)))
+        for size in range(1, len(pairs) + 1)
+        for chosen in combinations(pairs, size)
+    )
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ballot_lattice import (
     ClaimReport,
@@ -21,6 +21,7 @@ from ballot_lattice import (
     relation_of,
 )
 from ballot_lattice.checks import carry_or_evaluate
+from test_order import hand_built_relations
 
 
 def relation(names, pairs):
@@ -159,6 +160,44 @@ class TestClaimReport:
             "witness": {"pair": ["a", "b"]},
         }
         assert not report.ok
+
+
+class TestClaimReportOf:
+    WITNESS = {"kind": "missing_join", "pair": ["a", "b"]}
+
+    def test_ok_holds_and_drops_the_witness(self):
+        report = ClaimReport.of("T1", "subj", True, self.WITNESS)
+        assert report == ClaimReport("T1", "subj", "holds")
+        assert report.witness is None and report.ok
+
+    def test_not_ok_fails_with_the_witness(self):
+        report = ClaimReport.of("T1", "subj", False, self.WITNESS)
+        assert report == ClaimReport("T1", "subj", "fails", self.WITNESS)
+        assert report.witness is self.WITNESS and not report.ok
+
+    def test_witness_defaults_to_none(self):
+        assert ClaimReport.of("C1.repr", "subj", True) == ClaimReport("C1.repr", "subj", "holds")
+        assert ClaimReport.of("C1.repr", "subj", False) == ClaimReport("C1.repr", "subj", "fails")
+
+    def test_falsy_witness_is_kept_on_failure(self):
+        assert ClaimReport.of("T3.sub", "subj", False, []).witness == []
+
+
+def assert_witness_exactly_on_failure(reports):
+    for report in reports:
+        assert (report.witness is None) == (report.verdict != "fails"), report
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_census_reports_have_a_witness_exactly_when_they_fail(n):
+    for ballot in enumerate_ballots([f"c{i}" for i in range(n)]):
+        assert_witness_exactly_on_failure(relation_claims(relation_of(ballot)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hand_built_relations())
+def test_hand_built_reports_have_a_witness_exactly_when_they_fail(r):
+    assert_witness_exactly_on_failure(relation_claims(r))
 
 
 def relabeled_ballot_strategy(max_n=8):

@@ -184,6 +184,13 @@ class TestTheorem3:
         assert payload["unexpected_failures"] == []
         assert payload["counts"]["fails"] == payload["fails_all_unranked"]
 
+    def test_all_subsets_builds_the_relation_once(self, capsys, relation_builds):
+        code, _, err = run_cli(
+            capsys, "theorem3", "--all-subsets", "--ballot", "a>b~c~d", "--format", "json"
+        )
+        assert code == 0 and err == ""
+        assert len(relation_builds) == 1
+
     def test_all_subsets_cap(self, capsys):
         code, _, err = run_cli(
             capsys, "theorem3", "--ballot", "a>b>c>d>e>f~g", "--all-subsets"

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from ballot_lattice import (
+    ALL_SUBSETS_CAP,
     N_set,
     OrderRelation,
     PairRecord,
@@ -328,6 +329,20 @@ class TestSubrecordVerdicts:
         assert [chosen for chosen, _ in swept] == expected
         for chosen, verdict in swept:
             assert verdict == theorem3_check(ballot, PairRecord(frozenset(chosen)))
+
+    def test_record_over_the_cap_is_refused_on_the_call(self, relation_builds):
+        ballot = parse_ballot("a>b~c~d~e~f")
+        assert len(pair_record(ballot)) == 25
+        relation_builds.clear()
+        with pytest.raises(ValueError, match="25 pairs exceeds the cap of 16"):
+            subrecord_verdicts(ballot)  # not iterated: the refusal comes first
+        assert len(relation_builds) == 1
+
+    def test_record_at_the_cap_is_swept(self):
+        ballot = parse_ballot("a>b~c~d~e")
+        assert len(pair_record(ballot)) == ALL_SUBSETS_CAP == 16
+        chosen, verdict = next(subrecord_verdicts(ballot))
+        assert verdict == theorem3_check(ballot, PairRecord(frozenset(chosen)))
 
 
 class TestConcaveWitness:
