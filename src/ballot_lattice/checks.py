@@ -14,6 +14,8 @@ from typing import Any, Callable, Mapping
 from .order import (
     OrderRelation,
     RankedBallot,
+    _first_pair,
+    _strictly_incomparable,
     atoms,
     coatoms,
     join,
@@ -106,10 +108,11 @@ class ClaimReport:
         under an isomorphism onto the other relation; verdicts carry over
         unchanged.  Set-valued ``elements`` are mapped and re-sorted.  R1.2's
         ``not_totally_ordered`` pair is the first strictly incomparable pair
-        in label order; on a ballot relation both members sit in the tied
-        tail, so the pair maps as is when ``phi`` keeps the label order
-        there, as the positional bijection between two ballots of one shape
-        does.  Any other witness (a T1 or P1 pair or triple, or a witness
+        in label order, because every pair witness is found by the one
+        label-order scan ``order._first_pair``.  On a ballot relation both
+        members sit in the tied tail, so the pair maps as is when ``phi``
+        keeps the label order there, as the positional bijection between
+        two ballots of one shape does.  Any other witness (a T1 or P1 pair or triple, or a witness
         without a ``kind``, such as RAT's classes, T3's records or T4's
         issues) is either chosen by label order or not known here, so None
         is returned and the caller evaluates the other relation directly.
@@ -161,18 +164,16 @@ def _join_failure(r: OrderRelation) -> dict | None:
     gap = transitivity_gap(r)
     if gap is not None:
         return {"kind": "not_transitive", "triple": list(gap)}
-    for x in r.candidates:
-        for y in r.candidates:
-            if x <= y and join(r, x, y) is None:
-                return {"kind": "missing_join", "pair": [x, y]}
-    return None
+    # join(r, x, x) is x, so only distinct pairs can lack a join.
+    pair = _first_pair(r.candidates, lambda x, y: join(r, x, y) is None)
+    return None if pair is None else {"kind": "missing_join", "pair": pair}
 
 
 def is_join_semilattice(r: OrderRelation, subject: str | None = None) -> ClaimReport:
     """Claim T1: the relation is an order and every pair has a join.
 
     Fails with the first transitivity gap when the relation is not even a
-    weak order, otherwise with the first pair (in lexicographic order)
+    weak order, otherwise with the first pair (in label order)
     lacking a least upper bound.
     """
     witness = _join_failure(r)
@@ -214,14 +215,6 @@ def is_modular(r: OrderRelation, subject: str | None = None) -> ClaimReport:
     return ClaimReport.of("P1", subject or r.digest(), witness is None, witness)
 
 
-def _first_untotal_pair(r: OrderRelation) -> list[str] | None:
-    for x in r.candidates:
-        for y in r.candidates:
-            if x < y and not (r.strictly(x, y) or r.strictly(y, x)):
-                return [x, y]
-    return None
-
-
 def check_remark1(r: OrderRelation, subject: str | None = None) -> list[ClaimReport]:
     """Evaluate claims R1.1 through R1.4 on one relation.
 
@@ -234,7 +227,7 @@ def check_remark1(r: OrderRelation, subject: str | None = None) -> list[ClaimRep
     ji = join_irreducibles(r)
     if ji:
         stray = sorted(ji - atoms(r))
-        pair = _first_untotal_pair(r)
+        pair = _first_pair(r.candidates, lambda x, y: _strictly_incomparable(r, x, y))
         out = [
             ClaimReport.of(
                 "R1.1", subject, not stray, {"kind": "join_irreducible_not_atom", "elements": stray}

@@ -105,7 +105,7 @@ def _positive_int(raw: str) -> int:
 
 def _universe(args) -> list[str] | None:
     """The ``--candidates`` universe, validated before any input is read."""
-    if not args.candidates:
+    if args.candidates is None:
         return None
     try:
         return [_check_token(piece.strip()) for piece in args.candidates.split(",")]

@@ -17,7 +17,7 @@ from fractions import Fraction
 from importlib import resources
 from itertools import combinations, combinations_with_replacement
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .checks import ClaimReport, carry_or_evaluate, relation_claims
 from .enumeration import enumerate_ballots
@@ -100,6 +100,15 @@ def _validate_header(header: list[str]) -> None:
             raise ProfileError(f'header column {i + 1} must be "rank{i}"', 1)
 
 
+def _csv_rows(handle) -> Iterator[list[str]]:
+    """The rows of a CSV file; ``csv.Error``, not a ValueError, is raised as a ProfileError."""
+    reader = csv.reader(handle)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ProfileError(str(exc), reader.line_num) from None
+
+
 def load_profile(path, *, candidates: Iterable[str] | None = None) -> ElectionProfile:
     """Load an election from ``voter_id,rank1,...,rankJ`` CSV.
 
@@ -117,7 +126,7 @@ def load_profile(path, *, candidates: Iterable[str] | None = None) -> ElectionPr
     rows: list[tuple[int, str, list[str]]] = []
     # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
     with Path(path).open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
+        reader = _csv_rows(handle)
         try:
             header = next(reader)
         except StopIteration:
@@ -245,12 +254,10 @@ def _tabulate(
                 tallies[chain[cursor]] += weight
         live = voters - exhausted
         leader = max(tallies, key=tallies.get)
-        if live > 0 and 2 * tallies[leader] > live:
+        # With one candidate left, ``tallies`` has one key: the leader is the survivor.
+        if len(active) == 1 or (live > 0 and 2 * tallies[leader] > live):
             rounds.append(TabulationRound(tallies, None, exhausted))
             return TabulationResult(tuple(rounds), leader)
-        if len(active) == 1:
-            rounds.append(TabulationRound(tallies, None, exhausted))
-            return TabulationResult(tuple(rounds), next(iter(active)))
         low = min(tallies.values())
         tied = [c for c in tallies if tallies[c] == low]
         loser = min(tied, key=lambda c: (prev_tallies.get(c, 0), c))

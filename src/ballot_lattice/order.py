@@ -23,7 +23,7 @@ import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "MAX_RELATION_CANDIDATES",
@@ -313,12 +313,22 @@ def transitivity_gap(r: OrderRelation) -> tuple[str, str, str] | None:
     return None
 
 
-def _first_tie(r: OrderRelation) -> tuple[str, str] | None:
-    for x in r.candidates:
-        for y in r.candidates:
-            if x < y and r.indifferent(x, y):
-                return (x, y)
+def _first_pair(cands: Sequence[str], test: Callable[[str, str], bool]) -> list[str] | None:
+    """The first ``[x, y]`` with ``x`` before ``y`` in ``cands`` and ``test(x, y)``, or None.
+
+    Every pair search over a relation goes through here, so a pair witness
+    is always the first such pair in label order.
+    """
+    for i, x in enumerate(cands):
+        for y in cands[i + 1 :]:
+            if test(x, y):
+                return [x, y]
     return None
+
+
+def _strictly_incomparable(r: OrderRelation, x: str, y: str) -> bool:
+    """Neither of two distinct candidates is strictly above the other: tied or incomparable."""
+    return r.holds(x, y) == r.holds(y, x)
 
 
 def is_partial_order(r: OrderRelation) -> bool:
@@ -328,7 +338,7 @@ def is_partial_order(r: OrderRelation) -> bool:
     be asymmetric, and ties are exactly what :func:`is_weak_order`
     relaxes.  Reflexivity holds by construction.
     """
-    return transitivity_gap(r) is None and _first_tie(r) is None
+    return transitivity_gap(r) is None and _first_pair(r.candidates, r.indifferent) is None
 
 
 def is_weak_order(r: OrderRelation) -> bool:
@@ -348,35 +358,26 @@ def minimal_elements(r: OrderRelation) -> frozenset[str]:
 def is_top_truncated(r: OrderRelation) -> bool:
     """Weak order whose ties all sit among minimal elements.
 
-    Distinct non-minimal candidates must additionally be strictly
-    comparable, so partial orders with incomparable non-minimal elements
-    do not slip through.
+    Distinct non-minimal candidates must be strictly comparable, which
+    also keeps out partial orders with incomparable non-minimal elements.
+    No tie can join a minimal candidate to a non-minimal one: in a weak
+    order, tied candidates have the same candidates strictly below them.
     """
     if not is_weak_order(r):
         return False
     minimal = minimal_elements(r)
-    for x in r.candidates:
-        for y in r.candidates:
-            if x < y and r.indifferent(x, y) and not (x in minimal and y in minimal):
-                return False
     non_minimal = [x for x in r.candidates if x not in minimal]
-    for i, x in enumerate(non_minimal):
-        for y in non_minimal[i + 1 :]:
-            if not (r.strictly(x, y) or r.strictly(y, x)):
-                return False
-    return True
+    return _first_pair(non_minimal, lambda x, y: _strictly_incomparable(r, x, y)) is None
 
 
 def is_complete(r: OrderRelation) -> bool:
     """Every pair comparable in at least one direction."""
-    return all(
-        r.holds(x, y) or r.holds(y, x) for x in r.candidates for y in r.candidates
-    )
+    return _first_pair(r.candidates, lambda x, y: not (r.holds(x, y) or r.holds(y, x))) is None
 
 
 def is_total(r: OrderRelation) -> bool:
     """No two distinct candidates are tied."""
-    return _first_tie(r) is None
+    return _first_pair(r.candidates, r.indifferent) is None
 
 
 def _require_candidate(r: OrderRelation, x: str) -> None:

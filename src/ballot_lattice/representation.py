@@ -248,9 +248,9 @@ def _disjunction(
     if not pairs:
         raise ValueError("sub-record must be nonempty")
     unranked = ballot.unranked
-    cands = sorted({c for pair in pairs for c in pair})
-    all_unranked = all(c in unranked for c in cands)
-    extremes = extreme_points(ballot, cands)
+    extremes = extreme_points(ballot, {c for pair in pairs for c in pair})
+    # No extreme point exactly when no member of the sub-record is ranked.
+    all_unranked = not extremes
     outgoing: dict[str, list[str]] = {}
     for x, y in sorted(pairs):
         outgoing.setdefault(x, []).append(y)
@@ -464,13 +464,9 @@ def verify_concavity(
         x = weights[:, 0, :] @ pts
         y = weights[:, 1, :] @ pts
         keep = ((x - y) ** 2).sum(axis=1) > 1e-18
-        if not keep.any():
-            continue
         x, y, lam = x[keep], y[keep], lam[keep]
-        take = min(trials - done, x.shape[0])
-        x, y, lam = x[:take], y[:take], lam[:take]
         ux, uy = utility(x), utility(y)
-        for lam_vec in (lam, np.full(take, 0.5)):
+        for lam_vec in (lam, np.full_like(lam, 0.5)):
             mix = x * lam_vec[:, None] + y * (1 - lam_vec)[:, None]
             umix = utility(mix)
             concave_margin = umix - (lam_vec * ux + (1 - lam_vec) * uy)
@@ -489,7 +485,7 @@ def verify_concavity(
                         "quasiconcavity_margin": float(quasi_margin[i]),
                     },
                 )
-        done += take
+        done += len(lam)
     return ConcavityReport(True, trials)
 
 

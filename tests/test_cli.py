@@ -282,6 +282,30 @@ class TestTabulate:
         assert code == 1 and err.count("\n") == 1
         assert err.startswith("error: --candidates: invalid candidate id 'd-e'")
 
+    def test_cell_over_the_csv_field_limit_is_one_error_line(self, capsys, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text(
+            "voter_id,rank1,rank2,rank3\nv1,a,b,c\nv2," + "a" * 200_000 + ",b,c\n",
+            encoding="utf-8",
+        )
+        code, _, err = run_cli(capsys, "tabulate", "--input", str(path))
+        assert code == 1 and err.count("\n") == 1
+        assert err.startswith("error: profile csv: line 3: field larger than field limit")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "--ballot", "a>b>c"], ["tabulate", "--input", str(fixture_path())]],
+    ids=["analyze", "tabulate"],
+)
+def test_empty_candidates_flag_is_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--candidates", "")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: --candidates: invalid candidate id '': "
+        "expected a nonempty string of letters, digits or underscores\n"
+    )
+
 
 class TestTruncate:
     def test_fixture_experiment(self, capsys):

@@ -197,6 +197,14 @@ class TestLoadProfile:
         with pytest.raises(ProfileError, match="no ballots"):
             load_profile(path)
 
+    def test_cell_over_the_csv_field_limit(self, tmp_path):
+        # csv.Error is not a ValueError; it must surface as a ProfileError.
+        path = self.write(
+            tmp_path, "voter_id,rank1,rank2,rank3\nv1,a,b,c\nv2," + "a" * 200_000 + ",b,c\n"
+        )
+        with pytest.raises(ProfileError, match="line 3.*field larger"):
+            load_profile(path)
+
 
 # ---------------------------------------------------------------------------
 # tabulation
