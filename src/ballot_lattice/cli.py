@@ -9,6 +9,7 @@ closed before the output is written, e.g. ``... | head -3``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -348,6 +349,8 @@ def _cmd_truncate(args) -> int:
     return 0
 
 
+# Built on the first call and reused by every later one in the process.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ballot-lattice", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)

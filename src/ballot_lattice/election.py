@@ -61,7 +61,11 @@ class ProfileError(ValueError):
 
 @dataclass(frozen=True)
 class ElectionProfile:
-    """A finite election: candidate universe plus one ballot per voter."""
+    """A finite election: candidate universe plus one ballot per voter.
+
+    Voters may share one ballot object; each object's candidates are
+    checked against the universe once.
+    """
 
     candidates: tuple[str, ...]
     ballots: tuple[tuple[str, RankedBallot], ...]
@@ -77,10 +81,14 @@ class ElectionProfile:
             raise ValueError("an election needs at least one ballot")
         universe = frozenset(cands)
         seen: set[str] = set()
+        checked: set[int] = set()
         for voter, ballot in ballots:
             if voter in seen:
                 raise ValueError(f"duplicate voter id {voter!r}")
             seen.add(voter)
+            if id(ballot) in checked:
+                continue
+            checked.add(id(ballot))
             if ballot.candidates != universe:
                 raise ValueError(
                     f"ballot for {voter!r} covers {sorted(ballot.candidates)}, "
@@ -109,6 +117,24 @@ def _csv_rows(handle) -> Iterator[list[str]]:
         raise ProfileError(str(exc), reader.line_num) from None
 
 
+def _scan_ranking(cells: tuple[str, ...], line: int) -> tuple[str, ...]:
+    """The ranked chain in a row's rank cells; blanks may only pad out the end."""
+    ranked: list[str] = []
+    blank_seen = False
+    for cell in (c.strip() for c in cells):
+        if cell:
+            if blank_seen:
+                raise ProfileError("gap in ranking: blank cell before a filled cell", line)
+            if cell in ranked:
+                raise ProfileError(f"duplicate candidate {cell!r} in ranking", line)
+            ranked.append(cell)
+        else:
+            blank_seen = True
+    if not ranked:
+        raise ProfileError("empty ranking row", line)
+    return tuple(ranked)
+
+
 def load_profile(path, *, candidates: Iterable[str] | None = None) -> ElectionProfile:
     """Load an election from ``voter_id,rank1,...,rankJ`` CSV.
 
@@ -117,13 +143,21 @@ def load_profile(path, *, candidates: Iterable[str] | None = None) -> ElectionPr
     the universe is the union of all mentioned candidates.  Blank cells
     may only pad out the end of a row.
 
+    Each distinct row of rank cells is scanned once, and each distinct
+    ranked chain is validated and built into one :class:`RankedBallot`
+    that every voter who cast it shares.  Each error keeps the message
+    and line of a load that scans and builds every voter's row anew.
+
     Raises:
         ProfileError: malformed header or row, duplicate voter ids,
             candidates outside the supplied universe, or fewer than three
             candidates overall.
     """
     universe = None if candidates is None else {_check_token(c) for c in candidates}
-    rows: list[tuple[int, str, list[str]]] = []
+    rows: list[tuple[int, str, tuple[str, ...]]] = []
+    scanned: dict[tuple[str, ...], tuple[str, ...]] = {}
+    # Each distinct chain, in file order, with the line of its first voter.
+    first_line: dict[tuple[str, ...], int] = {}
     # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
     with Path(path).open(newline="", encoding="utf-8-sig") as handle:
         reader = _csv_rows(handle)
@@ -143,47 +177,43 @@ def load_profile(path, *, candidates: Iterable[str] | None = None) -> ElectionPr
             voter = row[0].strip()
             if not voter:
                 raise ProfileError("missing voter_id", line)
-            ranked: list[str] = []
-            blank_seen = False
-            for cell in (c.strip() for c in row[1:]):
-                if cell:
-                    if blank_seen:
-                        raise ProfileError(
-                            "gap in ranking: blank cell before a filled cell", line
-                        )
-                    if cell in ranked:
-                        raise ProfileError(
-                            f"duplicate candidate {cell!r} in ranking", line
-                        )
-                    ranked.append(cell)
-                else:
-                    blank_seen = True
-            if not ranked:
-                raise ProfileError("empty ranking row", line)
-            rows.append((line, voter, ranked))
+            cells = tuple(row[1:])
+            chain = scanned.get(cells)
+            if chain is None:
+                chain = scanned[cells] = _scan_ranking(cells, line)
+                first_line.setdefault(chain, line)
+            rows.append((line, voter, chain))
     if not rows:
         raise ProfileError("no ballots in file")
 
     if universe is not None:
-        for line, _, ranked in rows:
-            stray = [c for c in ranked if c not in universe]
+        for chain, line in first_line.items():
+            stray = [c for c in chain if c not in universe]
             if stray:
                 raise ProfileError(f"unknown candidate {stray[0]!r}", line)
     else:
-        universe = {c for _, _, ranked in rows for c in ranked}
+        universe = {c for chain in first_line for c in chain}
     if len(universe) < 3:
         raise ProfileError(f"fewer than 3 candidates overall (got {len(universe)})")
 
-    seen_voters: dict[str, int] = {}
+    everyone = frozenset(universe)
+    seen_voters: set[str] = set()
+    # One ballot per chain, and one object per ballot: a chain one short of
+    # the universe and its completion normalize to the same ballot.
+    built: dict[tuple[str, ...], RankedBallot] = {}
+    shared: dict[RankedBallot, RankedBallot] = {}
     ballots: list[tuple[str, RankedBallot]] = []
-    for line, voter, ranked in rows:
+    for line, voter, chain in rows:
         if voter in seen_voters:
             raise ProfileError(f"duplicate voter_id {voter!r}", line)
-        seen_voters[voter] = line
-        try:
-            ballot = RankedBallot(tuple(ranked), frozenset(universe) - set(ranked))
-        except ValueError as exc:
-            raise ProfileError(str(exc), line) from None
+        seen_voters.add(voter)
+        ballot = built.get(chain)
+        if ballot is None:
+            try:
+                ballot = RankedBallot(chain, everyone - set(chain))
+            except ValueError as exc:
+                raise ProfileError(str(exc), line) from None
+            ballot = built[chain] = shared.setdefault(ballot, ballot)
         ballots.append((voter, ballot))
     return ElectionProfile(tuple(sorted(universe)), tuple(ballots))
 

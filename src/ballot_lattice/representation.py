@@ -432,10 +432,12 @@ def verify_concavity(
     Pairs of distinct points are drawn from the convex hull of the
     embedding; each trial checks the strict-concavity and
     strict-quasiconcavity inequalities at a sampled lambda and at the
-    midpoint, with ``tolerance`` of slack on the comparisons.  Identical
-    endpoint draws are rejected and resampled.  The quadratic rule is
-    concave analytically; this is a floating-point sanity check, not the
-    argument.
+    midpoint, with ``tolerance`` of slack on the comparisons.  Draws whose
+    endpoints coincide in floating point are rejected and resampled; an
+    embedding whose points all coincide in floating point has no distinct
+    pairs, and like a single point reports ok after 0 trials.  The
+    quadratic rule is concave analytically; this is a floating-point
+    sanity check, not the argument.
 
     Raises:
         ValueError: ``trials`` is not an integer of at least 1; bools,
@@ -445,10 +447,10 @@ def verify_concavity(
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     names = sorted(witness.points)
-    if len(names) < 2:
-        # A single embedded point has no distinct pairs to test.
-        return ConcavityReport(True, 0)
     pts = np.array([[float(v) for v in witness.points[c]] for c in names])
+    if len(pts) < 2 or (pts == pts[0]).all():
+        # One point, or points that round to one, has no distinct pairs to test.
+        return ConcavityReport(True, 0)
     peak = np.array([float(v) for v in witness.peak])
     rng = np.random.default_rng(seed)
 
@@ -463,7 +465,7 @@ def verify_concavity(
         lam = np.clip(rng.uniform(size=batch), 1e-9, 1 - 1e-9)
         x = weights[:, 0, :] @ pts
         y = weights[:, 1, :] @ pts
-        keep = ((x - y) ** 2).sum(axis=1) > 1e-18
+        keep = (x != y).any(axis=1)
         x, y, lam = x[keep], y[keep], lam[keep]
         ux, uy = utility(x), utility(y)
         for lam_vec in (lam, np.full_like(lam, 0.5)):

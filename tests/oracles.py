@@ -4,16 +4,18 @@ Everything here re-derives results straight from definitions, without the
 shortcuts the production code takes: bound properties are verified by
 full scans, the census is built by generate-and-dedup, the disjunction
 search enumerates all 2^pairs subsets without pruning (or, past that
-walk's reach, all 2^sources sets of unranked sources), and the
-instant-runoff reference recounts every round from scratch.
+walk's reach, all 2^sources sets of unranked sources), the
+instant-runoff reference recounts every round from scratch, and the
+reference loader builds a fresh ballot for every voter.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from pathlib import Path
 
 from ballot_lattice.checks import CLAIM_REGISTRY, FAILS, HOLDS, VACUOUS, relation_claims
-from ballot_lattice.election import ElectionProfile
+from ballot_lattice.election import ElectionProfile, ProfileError, _csv_rows, _validate_header
 from ballot_lattice.enumeration import (
     SUBRECORD_SWEEP_MAX_N,
     ClaimStats,
@@ -22,7 +24,13 @@ from ballot_lattice.enumeration import (
     default_candidates,
     enumerate_ballots,
 )
-from ballot_lattice.order import OrderRelation, RankedBallot, format_ballot, relation_of
+from ballot_lattice.order import (
+    OrderRelation,
+    RankedBallot,
+    _check_token,
+    format_ballot,
+    relation_of,
+)
 from ballot_lattice.representation import (
     canonical_utility,
     is_representation,
@@ -284,3 +292,73 @@ def irv_reference(profile: ElectionProfile):
         loser = min(tied, key=lambda c: (prev.get(c, 0), c))
         rounds.append((tallies, loser, exhausted))
         eliminated.append(loser)
+
+
+# ---------------------------------------------------------------------------
+# election load, one fresh ballot per voter
+
+
+def direct_load_profile(path, *, candidates=None) -> ElectionProfile:
+    """Load a profile CSV by scanning every row and building every voter's ballot.
+
+    The per-voter loop that ``load_profile`` replaced: no row scan or
+    ballot is shared between voters, so its profile and its errors are
+    the definition the memoized loader is held to.
+    """
+    universe = None if candidates is None else {_check_token(c) for c in candidates}
+    rows: list[tuple[int, str, list[str]]] = []
+    with Path(path).open(newline="", encoding="utf-8-sig") as handle:
+        reader = _csv_rows(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ProfileError("empty file", 1) from None
+        _validate_header(header)
+        width = len(header)
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) > width:
+                raise ProfileError(f"row has {len(row)} cells but the header has {width}", line)
+            voter = row[0].strip()
+            if not voter:
+                raise ProfileError("missing voter_id", line)
+            ranked: list[str] = []
+            blank_seen = False
+            for cell in (c.strip() for c in row[1:]):
+                if cell:
+                    if blank_seen:
+                        raise ProfileError("gap in ranking: blank cell before a filled cell", line)
+                    if cell in ranked:
+                        raise ProfileError(f"duplicate candidate {cell!r} in ranking", line)
+                    ranked.append(cell)
+                else:
+                    blank_seen = True
+            if not ranked:
+                raise ProfileError("empty ranking row", line)
+            rows.append((line, voter, ranked))
+    if not rows:
+        raise ProfileError("no ballots in file")
+
+    if universe is not None:
+        for line, _, ranked in rows:
+            stray = [c for c in ranked if c not in universe]
+            if stray:
+                raise ProfileError(f"unknown candidate {stray[0]!r}", line)
+    else:
+        universe = {c for _, _, ranked in rows for c in ranked}
+    if len(universe) < 3:
+        raise ProfileError(f"fewer than 3 candidates overall (got {len(universe)})")
+
+    seen_voters: set[str] = set()
+    ballots: list[tuple[str, RankedBallot]] = []
+    for line, voter, ranked in rows:
+        if voter in seen_voters:
+            raise ProfileError(f"duplicate voter_id {voter!r}", line)
+        seen_voters.add(voter)
+        try:
+            ballot = RankedBallot(tuple(ranked), frozenset(universe) - set(ranked))
+        except ValueError as exc:
+            raise ProfileError(str(exc), line) from None
+        ballots.append((voter, ballot))
+    return ElectionProfile(tuple(sorted(universe)), tuple(ballots))

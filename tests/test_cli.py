@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from ballot_lattice import fixture_path
+from ballot_lattice import cli, fixture_path
 from ballot_lattice.cli import main
 
 
@@ -480,6 +480,27 @@ class TestHarness:
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    def test_one_parser_serves_every_call(self, capsys):
+        calls = [
+            ["analyze", "--ballot", "x>y>z>a~b~c~d", "--format", "json"],
+            ["verify", "--n", "3", "--bogus"],
+            ["witness", "--ballot", "a>b~c", "--trials", "20", "--format", "json"],
+            ["theorem3", "--full", "--all-subsets", "--ballot", "a>b~c"],
+            ["theorem3", "--ballot", "a>b~c~d"],
+            ["tabulate", "--input", str(fixture_path()), "--format", "json"],
+            ["frobnicate"],
+            ["truncate", "--input", str(fixture_path()), "--lengths", "1,2,3"],
+            ["verify", "--n", "3", "--trials", "20"],
+        ]
+        shared = [run_cli(capsys, *argv) for argv in calls]
+        assert cli._build_parser.cache_info().currsize == 1
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 1, 0, 1, 0, 0, 1, 0, 0]
 
     def test_closed_stdout_exits_141_without_a_message(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdout", _ClosedPipe())

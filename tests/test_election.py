@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,7 @@ from ballot_lattice import (
     truncate_ballot,
     truncation_experiment,
 )
-from ballot_lattice import checks, election
+from ballot_lattice import checks, election, order
 
 
 def ballot_over(universe, ranked):
@@ -204,6 +205,189 @@ class TestLoadProfile:
         )
         with pytest.raises(ProfileError, match="line 3.*field larger"):
             load_profile(path)
+
+
+def profile_csv(rows, width):
+    """CSV text with one ``voter_id,rank1..rank<width>`` row per (voter, cells)."""
+    header = ",".join(["voter_id"] + [f"rank{i}" for i in range(1, width + 1)])
+    return "\n".join([header] + [",".join([voter, *cells]) for voter, cells in rows]) + "\n"
+
+
+def load_outcome(loader, path, candidates):
+    """The loaded profile, or the ProfileError's message and line."""
+    try:
+        return loader(path, candidates=candidates)
+    except ProfileError as exc:
+        return (str(exc), exc.line)
+
+
+def drawn_csv(rng, width=5):
+    """Rows repeating a few rank-cell templates, some faulty, plus a universe.
+
+    Valid templates rank a prefix of a shuffled ``c0..c<width-1>``, padded
+    with blanks and sometimes with spaces around a cell; faulty ones hold a
+    gap, a duplicate candidate, an empty ranking or the invalid id ``c-x``.
+    Voters are ``v<row>`` unless a duplicate id is drawn.  The universe is
+    None, every candidate, or all but the last, so that a row naming the
+    last one holds an unknown candidate.
+    """
+    cands = [f"c{i}" for i in range(width)]
+
+    def valid():
+        chain = rng.sample(cands, rng.randint(1, width))
+        if rng.random() < 0.2:
+            chain[0] = f" {chain[0]} "
+        return chain + [""] * (width - len(chain))
+
+    faults = [
+        lambda: ["c0", "", "c1"] + [""] * (width - 3),
+        lambda: ["c1", "c1"] + [""] * (width - 2),
+        lambda: [""] * width,
+        lambda: ["c2", "c-x"] + [""] * (width - 2),
+    ]
+    templates = [valid() for _ in range(rng.randint(1, 6))]
+    for fault in rng.sample(faults, rng.randint(0, 2)):
+        if rng.random() < 0.5:
+            templates.append(fault())
+    rows = []
+    for number in range(rng.randint(1, 40)):
+        voter = f"v{number}"
+        if rows and rng.random() < 0.03:
+            voter = rng.choice(rows)[0]
+        rows.append((voter, rng.choice(templates)))
+    universe = None if rng.random() < 0.5 else cands[:-1] if rng.random() < 0.5 else cands
+    return profile_csv(rows, width), universe
+
+
+class TestLoadMatchesReference:
+    """The memoized loader against the per-voter reference loader."""
+
+    def test_generated_files(self, tmp_path):
+        rng = random.Random(20231)
+        path = tmp_path / "profile.csv"
+        errors = set()
+        for _ in range(400):
+            text, universe = drawn_csv(rng)
+            path.write_text(text, encoding="utf-8")
+            got = load_outcome(load_profile, path, universe)
+            assert got == load_outcome(oracles.direct_load_profile, path, universe), text
+            if isinstance(got, tuple):
+                errors.add(" ".join(got[0].split(": ", 2)[-1].split()[:2]))
+        # every kind of fault was drawn and won at least once
+        assert errors >= {
+            "gap in", "duplicate candidate", "empty ranking", "invalid candidate",
+            "duplicate voter_id", "unknown candidate",
+        }
+
+    def peel(self, tmp_path, rows, universe, steps):
+        """Each step's error wins from both loaders; then its row is mended."""
+        path = tmp_path / "profile.csv"
+        for message, line, mended in steps:
+            path.write_text(profile_csv(rows, 2), encoding="utf-8")
+            for loader in (load_profile, oracles.direct_load_profile):
+                assert load_outcome(loader, path, universe) == (
+                    f"profile csv: line {line}: {message}", line
+                )
+            rows[mended - 2] = (f"w{mended}", ["c", ""])
+        path.write_text(profile_csv(rows, 2), encoding="utf-8")
+        assert load_profile(path, candidates=universe) == oracles.direct_load_profile(
+            path, candidates=universe
+        )
+
+    def test_row_faults_then_unknown_candidates_then_duplicate_voters(self, tmp_path):
+        rows = [
+            ("v1", ["a", "b"]),
+            ("v1", ["a", ""]),
+            ("v3", ["q", ""]),
+            ("v4", ["a", "a"]),
+            ("v5", ["", "b"]),
+        ]
+        self.peel(tmp_path, rows, ["a", "b", "c"], [
+            ("duplicate candidate 'a' in ranking", 5, 5),
+            ("gap in ranking: blank cell before a filled cell", 6, 6),
+            ("unknown candidate 'q'", 4, 4),
+            ("duplicate voter_id 'v1'", 3, 3),
+        ])
+
+    def test_invalid_ids_are_blamed_on_the_first_row(self, tmp_path):
+        # Every ballot's universe holds the invalid id, so the first row's
+        # ballot is the first that fails, ahead of any duplicate voter.
+        rows = [
+            ("v1", ["a", "b"]),
+            ("v1", ["c", ""]),
+            ("v3", ["", "a"]),
+            ("v4", ["a-b", "a"]),
+        ]
+        self.peel(tmp_path, rows, None, [
+            ("gap in ranking: blank cell before a filled cell", 4, 4),
+            ("invalid candidate id 'a-b': expected a nonempty string of letters, "
+             "digits or underscores", 2, 5),
+            ("duplicate voter_id 'v1'", 3, 3),
+        ])
+
+    def test_fixture(self):
+        assert load_profile(fixture_path()) == oracles.direct_load_profile(fixture_path())
+
+
+class TestLoadSharesBallots:
+    """One ballot object per distinct chain, validated once."""
+
+    def seeded_file(self, tmp_path):
+        rng = random.Random(500)
+        cands = [f"c{i}" for i in range(6)]
+        rows = []
+        for number in range(500):
+            chain = rng.sample(cands, rng.choice([1, 1, 2, 2, 3, 5, 6]))
+            rows.append((f"v{number}", chain + [""] * (6 - len(chain))))
+        path = tmp_path / "profile.csv"
+        path.write_text(profile_csv(rows, 6), encoding="utf-8")
+        return path, {tuple(cells[: cells.index("")] if "" in cells else cells) for _, cells in rows}
+
+    def test_one_object_per_distinct_ballot(self, tmp_path):
+        path, _ = self.seeded_file(tmp_path)
+        for source in (fixture_path(), path):
+            profile = load_profile(source)
+            distinct = {b for _, b in profile.ballots}
+            assert len({id(b) for _, b in profile.ballots}) == len(distinct)
+        assert len(distinct) < len(profile.ballots)
+
+    def test_a_chain_and_its_completion_share_one_ballot(self, tmp_path):
+        path = tmp_path / "profile.csv"
+        text = profile_csv([("v1", ["a", "b"]), ("v2", ["a", "b", "c"])], 3)
+        path.write_text(text, encoding="utf-8")
+        (_, first), (_, second) = load_profile(path).ballots
+        assert first is second
+
+    def test_each_id_checked_once_per_distinct_chain(self, tmp_path, monkeypatch):
+        path, chains = self.seeded_file(tmp_path)
+        calls = []
+        check = order._check_token
+
+        def counted_check(token):
+            calls.append(token)
+            return check(token)
+
+        monkeypatch.setattr(order, "_check_token", counted_check)
+        profile = load_profile(path)
+        assert len(profile.ballots) == 500
+        assert len(chains) < 300
+        assert max(Counter(calls).values()) <= len(chains)
+
+    def test_profile_checks_each_ballot_object_once(self, monkeypatch):
+        calls = []
+        candidates = RankedBallot.candidates
+
+        def counted_candidates(ballot):
+            calls.append(ballot)
+            return candidates.fget(ballot)
+
+        shared = [ballot_over("abc", ["a"]), ballot_over("abc", ["b", "c"])]
+        monkeypatch.setattr(RankedBallot, "candidates", property(counted_candidates))
+        profile = ElectionProfile(
+            ("a", "b", "c"), tuple((f"v{i}", shared[i % 2]) for i in range(50))
+        )
+        assert len(profile.ballots) == 50
+        assert calls == shared
 
 
 # ---------------------------------------------------------------------------

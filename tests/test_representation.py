@@ -407,6 +407,19 @@ class TestVerifyConcavity:
         report = verify_concavity(concave_witness(parse_ballot("only")))
         assert report.ok and report.trials == 0
 
+    def test_points_within_the_old_rejection_radius_are_sampled(self):
+        # Every draw here lies within 1e-9 of every other; such draws used to
+        # be resampled forever.
+        witness = SpatialWitness(1, (0,), {"a": (0,), "b": (Fraction(1, 10**12),)})
+        assert verify_concavity(witness, 10).to_dict() == {
+            "ok": True, "trials": 10, "witness": None
+        }
+
+    def test_points_that_round_to_one_are_degenerate(self):
+        witness = SpatialWitness(1, (0,), {"a": (0,), "b": (Fraction(1, 10**400),)})
+        report = verify_concavity(witness, 10)
+        assert report.ok and report.trials == 0
+
     def test_deterministic_for_a_seed(self, deep_ballot):
         witness = concave_witness(deep_ballot)
         a = verify_concavity(witness, 100, seed=7)
