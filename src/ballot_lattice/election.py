@@ -135,6 +135,16 @@ def _scan_ranking(cells: tuple[str, ...], line: int) -> tuple[str, ...]:
     return tuple(ranked)
 
 
+def _blame_invalid_id(first_line: Mapping[tuple[str, ...], int]) -> None:
+    """Blame the first row, in file order, that ranks an invalid id, on its first such id."""
+    for chain, line in first_line.items():
+        for cand in chain:
+            try:
+                _check_token(cand)
+            except ValueError as exc:
+                raise ProfileError(str(exc), line) from None
+
+
 def load_profile(path, *, candidates: Iterable[str] | None = None) -> ElectionProfile:
     """Load an election from ``voter_id,rank1,...,rankJ`` CSV.
 
@@ -146,7 +156,9 @@ def load_profile(path, *, candidates: Iterable[str] | None = None) -> ElectionPr
     Each distinct row of rank cells is scanned once, and each distinct
     ranked chain is validated and built into one :class:`RankedBallot`
     that every voter who cast it shares.  Each error keeps the message
-    and line of a load that scans and builds every voter's row anew.
+    and line of a load that scans and builds every voter's row anew; an
+    invalid candidate id is blamed on the first row that ranks one,
+    before any ballot is built or voter id compared.
 
     Raises:
         ProfileError: malformed header or row, duplicate voter ids,
@@ -197,24 +209,26 @@ def load_profile(path, *, candidates: Iterable[str] | None = None) -> ElectionPr
         raise ProfileError(f"fewer than 3 candidates overall (got {len(universe)})")
 
     everyone = frozenset(universe)
-    seen_voters: set[str] = set()
     # One ballot per chain, and one object per ballot: a chain one short of
     # the universe and its completion normalize to the same ballot.
     built: dict[tuple[str, ...], RankedBallot] = {}
     shared: dict[RankedBallot, RankedBallot] = {}
+    for chain, line in first_line.items():
+        try:
+            ballot = RankedBallot(chain, everyone - set(chain))
+        except ValueError as exc:
+            # An invalid id in the derived universe fails every ballot, so
+            # blame the row that ranks it rather than this one.
+            _blame_invalid_id(first_line)
+            raise ProfileError(str(exc), line) from None
+        built[chain] = shared.setdefault(ballot, ballot)
+    seen_voters: set[str] = set()
     ballots: list[tuple[str, RankedBallot]] = []
     for line, voter, chain in rows:
         if voter in seen_voters:
             raise ProfileError(f"duplicate voter_id {voter!r}", line)
         seen_voters.add(voter)
-        ballot = built.get(chain)
-        if ballot is None:
-            try:
-                ballot = RankedBallot(chain, everyone - set(chain))
-            except ValueError as exc:
-                raise ProfileError(str(exc), line) from None
-            ballot = built[chain] = shared.setdefault(ballot, ballot)
-        ballots.append((voter, ballot))
+        ballots.append((voter, built[chain]))
     return ElectionProfile(tuple(sorted(universe)), tuple(ballots))
 
 
@@ -251,48 +265,70 @@ def tabulate_irv(profile: ElectionProfile) -> TabulationResult:
     exhausted and stay out.  A candidate holding a strict majority of the
     live ballots wins; otherwise the lowest tally is eliminated, breaking
     ties by the previous round's tally and then by smallest id.  With a
-    single candidate left, that candidate wins.
+    single candidate left, that candidate wins.  The count is
+    :func:`_tabulate`'s walk over the profile's distinct chains.
     """
     return _tabulate(profile.candidates, Counter(b.ranked for _, b in profile.ballots))
 
 
 def _tabulate(
-    candidates: Iterable[str], counts: Mapping[tuple[str, ...], int]
+    candidates: Iterable[str],
+    counts: Mapping[tuple[str, ...], int],
+    depth: int | None = None,
 ) -> TabulationResult:
-    """The instant-runoff round loop over counted ranked chains.
+    """The instant-runoff round loop over counted ranked chains, as a hand count.
 
-    ``counts`` maps each distinct chain to its number of voters, so every
-    chain is walked once per round however many voters cast it.
+    ``counts`` maps each distinct chain to its number of voters.  Every
+    standing candidate keeps a pile of the chains counting for it, each
+    entry a ``(chain, weight, end, cursor)`` held by index in parallel
+    lists with ``chain[cursor]`` the holder, and a running total, which is
+    that round's tally.  Eliminating a candidate moves only its pile: each
+    entry's cursor skips the eliminated candidates, and the entry joins
+    the pile of the next standing candidate it ranks, or is exhausted once
+    the cursor reaches ``end``.  ``depth`` cuts every chain to its first
+    ``depth`` links, which is how a truncated count exhausts; None counts
+    whole chains.
     """
-    chains = list(counts.items())
-    cursors = [0] * len(chains)
-    voters = sum(counts.values())
-    active = set(candidates)
+    piles: dict[str, list[int]] = {c: [] for c in sorted(set(candidates))}
+    # Kept in sorted order: eliminations only delete keys.
+    totals = dict.fromkeys(piles, 0)
+    chains = list(counts)
+    weights = list(counts.values())
+    ends = list(map(len, chains))
+    if depth is not None:
+        ends = [end if end < depth else depth for end in ends]
+    # Every chain starts in one pile, held by nobody, before its first link.
+    cursors = [-1] * len(chains)
+    moving: Iterable[int] = range(len(chains))
+    voters = sum(weights)
+    exhausted = 0
     rounds: list[TabulationRound] = []
     prev_tallies: dict[str, int] = {}
     while True:
-        tallies = {c: 0 for c in sorted(active)}
-        exhausted = 0
-        for i, (chain, weight) in enumerate(chains):
-            cursor = cursors[i]
-            while cursor < len(chain) and chain[cursor] not in active:
+        for i in moving:
+            chain, end = chains[i], ends[i]
+            cursor = cursors[i] + 1
+            while cursor < end and chain[cursor] not in totals:
                 cursor += 1
-            cursors[i] = cursor
-            if cursor >= len(chain):
-                exhausted += weight
+            if cursor < end:
+                cursors[i] = cursor
+                piles[chain[cursor]].append(i)
+                totals[chain[cursor]] += weights[i]
             else:
-                tallies[chain[cursor]] += weight
+                exhausted += weights[i]
+        tallies = dict(totals)
         live = voters - exhausted
         leader = max(tallies, key=tallies.get)
         # With one candidate left, ``tallies`` has one key: the leader is the survivor.
-        if len(active) == 1 or (live > 0 and 2 * tallies[leader] > live):
+        if len(tallies) == 1 or (live > 0 and 2 * tallies[leader] > live):
             rounds.append(TabulationRound(tallies, None, exhausted))
             return TabulationResult(tuple(rounds), leader)
         low = min(tallies.values())
         tied = [c for c in tallies if tallies[c] == low]
         loser = min(tied, key=lambda c: (prev_tallies.get(c, 0), c))
         rounds.append(TabulationRound(tallies, loser, exhausted))
-        active.remove(loser)
+        del totals[loser]
+        moving = piles.pop(loser)
         prev_tallies = tallies
 
 
@@ -332,10 +368,11 @@ def truncation_experiment(
     """Re-tabulate the election at each ballot length and compare winners.
 
     Truncating a ballot to length L keeps the first L links of its ranked
-    chain, so each length is tabulated from the profile's counted chains
-    cut to that depth; no ballot is rebuilt.  As with
-    :func:`truncate_ballot`, normalization makes lengths n - 1 and n both
-    keep the full chain.
+    chain, so each length is one :func:`_tabulate` walk over the profile's
+    counted chains with depth L: a chain exhausts once its cursor passes
+    its first L links.  No ballot is rebuilt and no chain re-counted.  As
+    with :func:`truncate_ballot`, normalization makes lengths n - 1 and n
+    both keep the full chain.
     """
     wanted = sorted({_exact_int(v, "truncation length") for v in lengths})
     if not wanted:
@@ -344,14 +381,11 @@ def truncation_experiment(
     for length in wanted:
         if not 1 <= length <= n:
             raise ValueError(f"truncation length {length} outside 1..{n}")
-    full = Counter(b.ranked for _, b in profile.ballots)
-    results: dict[int, TabulationResult] = {}
-    for length in wanted:
-        cut = length if length < n - 1 else n
-        counts: Counter[tuple[str, ...]] = Counter()
-        for chain, weight in full.items():
-            counts[chain[:cut]] += weight
-        results[length] = _tabulate(profile.candidates, counts)
+    counts = Counter(b.ranked for _, b in profile.ballots)
+    results = {
+        length: _tabulate(profile.candidates, counts, length if length < n - 1 else n)
+        for length in wanted
+    }
     divergence = tuple(
         (a, b)
         for a, b in combinations(wanted, 2)

@@ -349,6 +349,14 @@ def direct_load_profile(path, *, candidates=None) -> ElectionProfile:
         universe = {c for _, _, ranked in rows for c in ranked}
     if len(universe) < 3:
         raise ProfileError(f"fewer than 3 candidates overall (got {len(universe)})")
+    # The first row holding an invalid id, and its first such id, are blamed
+    # before any voter id is compared.
+    for line, _, ranked in rows:
+        for cand in ranked:
+            try:
+                _check_token(cand)
+            except ValueError as exc:
+                raise ProfileError(str(exc), line) from None
 
     seen_voters: set[str] = set()
     ballots: list[tuple[str, RankedBallot]] = []

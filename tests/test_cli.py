@@ -2,11 +2,14 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ballot_lattice
 from ballot_lattice import cli, fixture_path
 from ballot_lattice.cli import main
 
@@ -15,6 +18,36 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env(**overrides):
+    """The environment for a child interpreter that imports this same package."""
+    paths = [str(Path(ballot_lattice.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths), **overrides)
+
+
+def seeded_election_csv(voters=2000, seed=13):
+    """A profile CSV on ten candidates whose short ballots repeat and long ones are unique.
+
+    Each ballot ranks candidates drawn without replacement, candidate ``i``
+    with strength 1 / (1 + i / 20); about half rank at most three, the
+    rest four to ten.  Different lengths elect different winners.
+    """
+    rng = random.Random(seed)
+    cands = [f"k{i}" for i in range(10)]
+    rows = ["voter_id," + ",".join(f"rank{i}" for i in range(1, 11))]
+    for number in range(1, voters + 1):
+        length = rng.randint(1, 3) if rng.random() < 0.5 else rng.randint(4, 10)
+        pool = list(range(10))
+        ranking = []
+        for _ in range(length):
+            pick = rng.choices(pool, weights=[1 / (1 + i / 20) for i in pool])[0]
+            pool.remove(pick)
+            ranking.append(cands[pick])
+        rows.append(",".join([f"v{number:04d}", *ranking] + [""] * (10 - length)))
+    return "\n".join(rows) + "\n"
 
 
 class TestAnalyze:
@@ -282,6 +315,28 @@ class TestTabulate:
         assert code == 1 and err.count("\n") == 1
         assert err.startswith("error: --candidates: invalid candidate id 'd-e'")
 
+    def test_invalid_id_blame_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # Every ballot's unranked set holds all three invalid ids; the row
+        # that ranks the first of them is blamed whatever the set order.
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "voter_id,rank1,rank2\nv1,a,b\nv2,b,a\nv3,c-1,a\nv4,d-2,b\nv5,e-3,a\n",
+            encoding="utf-8",
+        )
+        outcomes = {
+            subprocess.run(
+                [sys.executable, "-m", "ballot_lattice", "tabulate", "--input", str(path)],
+                capture_output=True,
+                text=True,
+                env=child_env(PYTHONHASHSEED=str(seed)),
+            ).stderr
+            for seed in range(1, 7)
+        }
+        assert outcomes == {
+            "error: profile csv: line 4: invalid candidate id 'c-1': "
+            "expected a nonempty string of letters, digits or underscores\n"
+        }
+
     def test_cell_over_the_csv_field_limit_is_one_error_line(self, capsys, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text(
@@ -443,6 +498,29 @@ class TestHarness:
         "argv, sha256",
         [
             (
+                ["tabulate"],
+                "1d1e96ee31acedd9283a8e9f9ade13974f2171df53d16986a117cc94d36a8e8e",
+            ),
+            (
+                ["truncate", "--lengths", "1,2,3,4,5,6,7,8,9,10"],
+                "b9c26a2af879bd1adf8728b6d353bf09e27491109d08d6f56f9d70e8636344aa",
+            ),
+        ],
+        ids=["tabulate-2000", "truncate-2000"],
+    )
+    def test_election_json_bytes_are_pinned_at_scale(self, capsys, tmp_path, argv, sha256):
+        # Digests of a seeded 10-candidate, 2,000-voter election from when
+        # every round re-walked every distinct chain.
+        path = tmp_path / "election.csv"
+        path.write_text(seeded_election_csv(), encoding="utf-8")
+        code, out, _ = run_cli(capsys, *argv, "--input", str(path), "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            (
                 ["theorem3", "--full", "--ballot", "a>b~c~d~e~f"],
                 "22e48ba19a29a76736e22e5cbea4afa341a78f8ec108e01ccceb9e227f834b4d",
             ),
@@ -518,6 +596,7 @@ class TestHarness:
             [sys.executable, "-m", "ballot_lattice", "enumerate", "--n", "7", "--format", "json"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
+            env=child_env(),
         ) as proc:
             assert proc.stdout.read(16).startswith(b"{")
             proc.stdout.close()
@@ -531,6 +610,7 @@ class TestHarness:
              "--format", "json"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["classification"]["is_total"] is True

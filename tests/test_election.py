@@ -309,9 +309,9 @@ class TestLoadMatchesReference:
             ("duplicate voter_id 'v1'", 3, 3),
         ])
 
-    def test_invalid_ids_are_blamed_on_the_first_row(self, tmp_path):
-        # Every ballot's universe holds the invalid id, so the first row's
-        # ballot is the first that fails, ahead of any duplicate voter.
+    def test_invalid_ids_are_blamed_on_the_row_that_holds_them(self, tmp_path):
+        # The row that ranks the invalid id is blamed, ahead of any
+        # duplicate voter, though every ballot's universe holds that id.
         rows = [
             ("v1", ["a", "b"]),
             ("v1", ["c", ""]),
@@ -321,8 +321,22 @@ class TestLoadMatchesReference:
         self.peel(tmp_path, rows, None, [
             ("gap in ranking: blank cell before a filled cell", 4, 4),
             ("invalid candidate id 'a-b': expected a nonempty string of letters, "
-             "digits or underscores", 2, 5),
+             "digits or underscores", 5, 5),
             ("duplicate voter_id 'v1'", 3, 3),
+        ])
+
+    def test_first_invalid_id_in_file_and_column_order(self, tmp_path):
+        rows = [
+            ("v1", ["a", "b"]),
+            ("v2", ["b", "a"]),
+            ("v3", ["a", "c-1"]),
+            ("v4", ["d-2", "e-3"]),
+        ]
+        self.peel(tmp_path, rows, None, [
+            ("invalid candidate id 'c-1': expected a nonempty string of letters, "
+             "digits or underscores", 4, 4),
+            ("invalid candidate id 'd-2': expected a nonempty string of letters, "
+             "digits or underscores", 5, 5),
         ])
 
     def test_fixture(self):
@@ -652,6 +666,52 @@ class TestElectionProperties:
         plain = tabulate_irv(profile)
         assert report.results[n] == plain
         assert report.results[n - 1] == plain
+
+
+@st.composite
+def pooled_profiles(draw, max_candidates=7, max_voters=40):
+    """Profiles whose ballots rank only a drawn pool of the universe, from a few shared rankings.
+
+    Candidates outside the pool start with empty piles and tie at zero,
+    and most voters share their ballot with others.
+    """
+    n = draw(st.integers(3, max_candidates))
+    universe = "abcdefg"[:n]
+    pool = draw(st.lists(st.sampled_from(universe), min_size=1, max_size=n, unique=True))
+    ranking = st.tuples(st.permutations(pool), st.integers(1, len(pool))).map(
+        lambda drawn: drawn[0][: drawn[1]]
+    )
+    shared = draw(st.lists(ranking, min_size=1, max_size=5))
+    return profile_of(
+        universe, *draw(st.lists(st.sampled_from(shared), min_size=1, max_size=max_voters))
+    )
+
+
+class TestPileWalk:
+    """The pile walk, at every depth, against the stateless reference recount."""
+
+    @given(pooled_profiles())
+    def test_every_length_equals_the_reference_on_rebuilt_ballots(self, profile):
+        n = len(profile.candidates)
+        report = truncation_experiment(profile, range(1, n + 1))
+        for length in range(1, n + 1):
+            ref_rounds, ref_winner = oracles.irv_reference(rebuilt_truncation(profile, length))
+            result = report.results[length]
+            assert result.winner == ref_winner
+            assert [
+                (dict(r.tallies), r.eliminated, r.exhausted) for r in result.rounds
+            ] == ref_rounds
+
+    @given(pooled_profiles(), st.data())
+    def test_truncation_report_invariant_under_voter_order(self, profile, data):
+        # Piles fill in the order chains are first met, which follows the voters.
+        shuffled = ElectionProfile(
+            profile.candidates, tuple(data.draw(st.permutations(profile.ballots)))
+        )
+        lengths = range(1, len(profile.candidates) + 1)
+        assert json.dumps(truncation_experiment(shuffled, lengths).to_dict()) == json.dumps(
+            truncation_experiment(profile, lengths).to_dict()
+        )
 
 
 # ---------------------------------------------------------------------------
