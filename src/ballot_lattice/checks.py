@@ -101,63 +101,89 @@ class ClaimReport:
             "witness": self.witness,
         }
 
-    def relabeled(self, phi: Mapping[str, str], subject: str) -> "ClaimReport | None":
-        """This report carried to an isomorphic relation, or None.
-
-        ``phi`` maps each candidate of this report's relation to its image
-        under an isomorphism onto the other relation; verdicts carry over
-        unchanged.  Set-valued ``elements`` are mapped and re-sorted.  R1.2's
-        ``not_totally_ordered`` pair is the first strictly incomparable pair
-        in label order, because every pair witness is found by the one
-        label-order scan ``order._first_pair``.  On a ballot relation both
-        members sit in the tied tail, so the pair maps as is when ``phi``
-        keeps the label order there, as the positional bijection between
-        two ballots of one shape does.  Any other witness (a T1 or P1 pair or triple, or a witness
-        without a ``kind``, such as RAT's classes, T3's records or T4's
-        issues) is either chosen by label order or not known here, so None
-        is returned and the caller evaluates the other relation directly.
-        """
-        witness = self.witness
-        if witness is not None:
-            kind = witness.get("kind") if isinstance(witness, dict) else None
-            if kind == "not_totally_ordered":
-                witness = {**witness, "pair": [phi[c] for c in witness["pair"]]}
-            elif kind is not None and "elements" in witness:
-                elements = sorted(phi[c] for c in witness["elements"])
-                witness = {**witness, "elements": elements}
-            else:
-                return None
-        return ClaimReport(self.claim, subject, self.verdict, witness)
-
 
 def carry_or_evaluate(
     sources: dict,
     ballot: RankedBallot,
     subject: str,
     evaluate: Callable[[RankedBallot, str], tuple[list[ClaimReport], Any]],
-) -> tuple[list[ClaimReport], Any]:
-    """``evaluate(ballot, subject)``, carried from an isomorphic ballot when possible.
+) -> tuple[list[dict], Any]:
+    """``evaluate(ballot, subject)`` as report rows, carried by shape when possible.
 
     A ballot's shape (ranked count, unranked count) fixes its relation up
-    to isomorphism.  ``sources`` maps each shape to the first ballot of it
-    that was evaluated, with that ballot's reports and shape-invariant
-    extra.  A later ballot of the shape gets those reports relabeled by the
-    positional bijection: i-th ranked candidate to i-th ranked candidate,
-    and the unranked candidates across in sorted order, which keeps label
-    order inside the tied tail.  When any witness cannot be carried (see
-    :meth:`ClaimReport.relabeled`) the ballot is evaluated directly.
+    to isomorphism.  ``sources`` maps each shape to the positional plan
+    (:func:`_shape_plan`) of its first ballot's reports, with that
+    evaluation's shape-invariant extra.  Every ballot of a planned shape,
+    the first included, gets fresh rows in :meth:`ClaimReport.to_dict` form
+    from the plan and its own slots, so no two rows share a mutable object.
+    Each ballot of a shape without a plan is evaluated directly.
     """
     shape = (len(ballot.ranked), len(ballot.unranked))
-    if shape in sources:
-        source, source_reports, extra = sources[shape]
-        phi = dict(zip(source.ranked, ballot.ranked))
-        phi.update(zip(sorted(source.unranked), sorted(ballot.unranked)))
-        reports = [report.relabeled(phi, subject) for report in source_reports]
-        if not any(report is None for report in reports):
-            return reports, extra
-    reports, extra = evaluate(ballot, subject)
-    sources.setdefault(shape, (ballot, reports, extra))
-    return reports, extra
+    slots = ballot.ranked + tuple(sorted(ballot.unranked))
+    plan, extra = sources.get(shape, (None, None))
+    if plan is None:
+        reports, extra = evaluate(ballot, subject)
+        if shape not in sources:
+            plan = _shape_plan(slots, reports)
+            sources[shape] = (plan, extra)
+        if plan is None:
+            return [report.to_dict() for report in reports], extra
+    return [
+        {"claim": claim, "subject": subject, "verdict": verdict, "witness": build and build(slots)}
+        for claim, verdict, build in plan
+    ], extra
+
+
+def _shape_plan(slots: tuple[str, ...], reports: list[ClaimReport]) -> list[tuple] | None:
+    """How ``reports``, made on the ballot with ``slots``, read on any ballot of its shape.
+
+    A ballot's slots are its ranked chain, then its unranked candidates in
+    sorted order.  Mapping slot i of one ballot to slot i of another of the
+    same shape is an isomorphism of their relations, so verdicts carry
+    over unchanged, and a witness carries once each of its candidates is
+    stored as a slot index: its ``elements`` set, or R1.2's
+    ``not_totally_ordered`` pair, is mapped and sorted.  That pair is the
+    first strictly incomparable pair in label order, because every pair
+    witness is found by the one label-order scan ``order._first_pair``.  On
+    a ballot relation both members sit in the tied tail, whose slots are in
+    label order on every ballot, so the mapped pair is again the first.
+    Any other witness (a T1 or P1 pair or triple, or a witness without a
+    ``kind``, such as RAT's classes, T3's records or T4's issues) is either
+    chosen by label order or not known here, so there is no plan (None) and
+    every ballot of the shape is evaluated directly.
+
+    Each entry is ``(claim, verdict, build)``: ``build(slots)`` makes the
+    witness for the ballot with those slots, or is None for no witness.
+    """
+    index = {c: i for i, c in enumerate(slots)}
+    plan = []
+    for report in reports:
+        witness = report.witness
+        build = None
+        if witness is not None:
+            kind = witness.get("kind") if isinstance(witness, dict) else None
+            key = "pair" if kind == "not_totally_ordered" else "elements"
+            if kind is None or key not in witness:
+                return None
+            build = _carried(witness, key, index)
+        plan.append((report.claim, report.verdict, build))
+    return plan
+
+
+def _carried(witness: dict, key: str, index: Mapping[str, int]) -> Callable:
+    """Fresh copies of ``witness`` on demand, its ``key`` candidates read from given slots."""
+    positions = [index[c] for c in witness[key]]
+    lists = [k for k, v in witness.items() if isinstance(v, list) and k != key]
+
+    def build(slots: tuple[str, ...]) -> dict:
+        mapped = [slots[i] for i in positions]
+        mapped.sort()
+        carried = {**witness, key: mapped}
+        for k in lists:
+            carried[k] = list(carried[k])
+        return carried
+
+    return build
 
 
 def _join_failure(r: OrderRelation) -> dict | None:

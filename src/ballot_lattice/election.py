@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations, combinations_with_replacement
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -415,30 +416,32 @@ def profile_report(profile: ElectionProfile) -> dict:
 
     The order-level results depend only on a ballot's shape (ranked count,
     unranked count), so :func:`~ballot_lattice.checks.carry_or_evaluate`
-    evaluates them on the first ballot of each shape and carries them to
-    the shape's other ballots by isomorphism.
+    evaluates them on the first ballot of each shape, and every ballot of
+    the shape reads its ``claims`` rows from that shape's positional plan.
     """
     n = len(profile.candidates)
     groups: dict[RankedBallot, list[str]] = {}
     for voter, ballot in profile.ballots:
         groups.setdefault(ballot, []).append(voter)
 
+    fractions = [str(Fraction(k, n)) for k in range(n + 1)]
     shapes: dict = {}
     entries = []
     total_ranked = 0
-    for ballot, voters in sorted(groups.items(), key=lambda kv: format_ballot(kv[0])):
+    for text, ballot, voters in sorted(
+        ((format_ballot(b), b, v) for b, v in groups.items()), key=itemgetter(0)
+    ):
         total_ranked += len(ballot.ranked) * len(voters)
-        text = format_ballot(ballot)
         entry: dict = {
             "ballot": text,
             "voters": sorted(voters),
             "count": len(voters),
-            "ranked_fraction": str(Fraction(len(ballot.ranked), n)),
+            "ranked_fraction": fractions[len(ballot.ranked)],
         }
         if n <= MAX_RELATION_CANDIDATES:
             claims, (flags, cls) = carry_or_evaluate(shapes, ballot, text, _order_block)
             entry["order"] = dict(flags)
-            entry["claims"] = [report.to_dict() for report in claims]
+            entry["claims"] = claims
             entry["rationalizability"] = cls
         else:
             entry["order"] = {

@@ -236,10 +236,12 @@ def exhaustive_verify(n: int, *, trials: int = 1000) -> VerificationSummary:
 
     Every claim is a property of a ballot's relation up to relabeling, so
     each shape (ranked count, unranked count) is checked once, on its first
-    census ballot, and the reports are carried to the shape's other ballots
-    by isomorphism (:func:`~ballot_lattice.checks.carry_or_evaluate`); a
-    ballot whose witnesses cannot be carried is checked directly.  T4's
-    concavity sampling therefore draws ``trials`` samples once per shape.
+    census ballot, and every ballot of the shape reads its report rows from
+    that shape's positional plan
+    (:func:`~ballot_lattice.checks.carry_or_evaluate`); the ballots of a
+    shape whose witnesses cannot be carried are each checked directly.
+    T4's concavity sampling therefore draws ``trials`` samples once per
+    shape.
 
     The record-disjunction claims (``T3.*``) cost up to ``2^pairs`` per
     checked ballot, so they run only for ``n <= SUBRECORD_SWEEP_MAX_N`` and
@@ -260,7 +262,7 @@ def exhaustive_verify(n: int, *, trials: int = 1000) -> VerificationSummary:
     for ballot in enumerate_ballots(default_candidates(n)):
         count += 1
         subject = format_ballot(ballot)
-        reports, _ = carry_or_evaluate(shapes, ballot, subject, evaluate)
-        for report in reports:
-            stats[report.claim].record(report.verdict, subject, report.witness)
+        rows, _ = carry_or_evaluate(shapes, ballot, subject, evaluate)
+        for row in rows:
+            stats[row["claim"]].record(row["verdict"], subject, row["witness"])
     return VerificationSummary(n, count, list(stats.values()))

@@ -1,3 +1,6 @@
+import copy
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +11,7 @@ from ballot_lattice import (
     atoms,
     check_remark1,
     enumerate_ballots,
+    format_ballot,
     is_complete,
     is_join_semilattice,
     is_modular,
@@ -237,20 +241,23 @@ class TestRelationClaims:
                 elements = sorted(sigma[c] for c in a.witness["elements"])
                 assert b.witness == {**a.witness, "elements": elements}
 
-    def test_relabeled_onto_a_ballot_of_the_same_shape(self, deep_relation):
-        # positional map from x>y>z>a~b~c~d: ranked by place, tail in sorted order
-        target = relation_of(parse_ballot("d>a>x>b~c~y~z"))
-        phi = dict(zip("xyzabcd", "daxbcyz"))
-        reports = relation_claims(deep_relation, "s")
-        assert [r.relabeled(phi, "t") for r in reports] == relation_claims(target, "t")
+    @given(relabeled_ballot_strategy())
+    def test_relabeled_onto_a_ballot_of_the_same_shape(self, drawn):
+        # the rows of a shape's plan on another ballot of that shape are
+        # the other ballot's own reports
+        order, k, image = drawn
+        source = RankedBallot(tuple(order[:k]), frozenset(order[k:]))
+        target = RankedBallot(tuple(image[:k]), frozenset(image[k:]))
+        rows, calls = carried([source, target], claims_of)
+        assert calls == [format_ballot(source)]
+        assert rows[1] == [r.to_dict() for r in claims_of(target, format_ballot(target))[0]]
 
     def test_relabeled_declines_label_chosen_witnesses(self):
         antichain = relation("abc", [])
-        phi = dict(zip("abc", "cab"))
-        assert is_join_semilattice(antichain).relabeled(phi, "t") is None
         tied_top = relation("abc", [("a", "c"), ("b", "c"), ("a", "b"), ("b", "a")])
         assert is_modular(tied_top).verdict == "fails"
-        assert is_modular(tied_top).relabeled(phi, "t") is None
+        for report in (is_join_semilattice(antichain), is_modular(tied_top)):
+            assert evaluated_directly(report) == ONE_SHAPE
 
     @pytest.mark.parametrize(
         "claim,witness",
@@ -263,8 +270,52 @@ class TestRelationClaims:
         ids=["rat-classes", "t4-issues", "t3-sub-records", "t3-full-verdict"],
     )
     def test_relabeled_declines_witnesses_it_does_not_know(self, claim, witness):
-        phi = dict(zip("abc", "cab"))
-        assert ClaimReport(claim, "s", "fails", witness).relabeled(phi, "t") is None
+        assert evaluated_directly(ClaimReport(claim, "s", "fails", witness)) == ONE_SHAPE
+
+
+#: Three ballots of shape (1, 2).
+ONE_SHAPE = ["a>b~c", "c>a~b", "b>a~c"]
+
+
+def claims_of(ballot, subject):
+    return relation_claims(relation_of(ballot), subject), None
+
+
+def carried(ballots, evaluate):
+    """Each ballot's rows from one run of ``carry_or_evaluate``, and the subjects it evaluated."""
+    calls = []
+
+    def counted(ballot, subject):
+        calls.append(subject)
+        return evaluate(ballot, subject)
+
+    sources: dict = {}
+    rows = [carry_or_evaluate(sources, b, format_ballot(b), counted)[0] for b in ballots]
+    return rows, calls
+
+
+def evaluated_directly(report):
+    """The ballots of ``ONE_SHAPE`` evaluated directly when each evaluation gives ``report``."""
+
+    def direct(subject):
+        return ClaimReport(report.claim, subject, report.verdict, report.witness)
+
+    rows, calls = carried(
+        [parse_ballot(text) for text in ONE_SHAPE], lambda ballot, subject: ([direct(subject)], None)
+    )
+    assert rows == [[direct(text).to_dict()] for text in ONE_SHAPE]
+    return calls
+
+
+def mutable_parts(rows):
+    """The id of every dict and list reachable from ``rows``, ``rows`` included."""
+    found, stack = [], [rows]
+    while stack:
+        item = stack.pop()
+        found.append(id(item))
+        values = item.values() if isinstance(item, dict) else item
+        stack.extend(v for v in values if isinstance(v, (dict, list)))
+    return found
 
 
 class TestCarryOrEvaluate:
@@ -285,8 +336,11 @@ class TestCarryOrEvaluate:
         second = carry_or_evaluate(sources, parse_ballot("c>a~b"), "c>a~b", evaluate)
         assert calls == ["a>b~c"]
         assert second[1] == first[1] == 1  # the source's extra comes along
+        assert first[0] == [
+            ClaimReport("P1", "a>b~c", "fails", {"kind": "x", "elements": ["b", "c"]}).to_dict()
+        ]
         assert second[0] == [
-            ClaimReport("P1", "c>a~b", "fails", {"kind": "x", "elements": ["a", "b"]})
+            ClaimReport("P1", "c>a~b", "fails", {"kind": "x", "elements": ["a", "b"]}).to_dict()
         ]
 
     def test_declines_a_pair_witness_and_evaluates_directly(self):
@@ -295,8 +349,27 @@ class TestCarryOrEvaluate:
         )
         sources: dict = {}
         carry_or_evaluate(sources, parse_ballot("a>b~c"), "a>b~c", evaluate)
-        reports, extra = carry_or_evaluate(sources, parse_ballot("c>a~b"), "c>a~b", evaluate)
+        rows, extra = carry_or_evaluate(sources, parse_ballot("c>a~b"), "c>a~b", evaluate)
         assert calls == ["a>b~c", "c>a~b"] and extra == 2
-        assert reports[0].subject == "c>a~b"
-        # the first ballot stays the shape's source
-        assert sources[(1, 2)][0] == parse_ballot("a>b~c")
+        assert rows[0]["subject"] == "c>a~b"
+        # the shape was judged once, on its first ballot, with that ballot's extra
+        assert sources[(1, 2)] == (None, 1)
+
+    def test_carried_rows_share_no_mutable_object(self):
+        # a one-candidate ballot fails R1.4, whose witness also holds the
+        # ``allowed`` list; the deep shape fails R1.1 and R1.2
+        ballots = [parse_ballot(t) for t in ("a", "b", "x>y>z>a~b~c~d", "d>a>x>b~c~y~z")]
+        rows, calls = carried(ballots * 2, claims_of)
+        assert calls == ["a", "x>y>z>a~b~c~d"]
+        parts = [mutable_parts(r) for r in rows]
+        assert all(len(p) == len(set(p)) for p in parts)
+        for i, j in combinations(range(len(parts)), 2):
+            assert not set(parts[i]) & set(parts[j]), (i, j)
+        # a caller editing one ballot's report leaves every other unchanged
+        before = copy.deepcopy(rows)
+        for row in rows[0] + rows[2]:
+            if row["witness"] is not None:
+                for value in row["witness"].values():
+                    if isinstance(value, list):
+                        value.append("edited")
+        assert rows[1:2] + rows[3:] == before[1:2] + before[3:]

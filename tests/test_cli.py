@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ballot_lattice
-from ballot_lattice import cli, fixture_path
+from ballot_lattice import cli, fixture_path, load_profile, profile_report
 from ballot_lattice.cli import main
 
 
@@ -517,6 +517,16 @@ class TestHarness:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
+    def test_profile_report_json_bytes_are_pinned_at_scale(self, tmp_path):
+        # Digest of the seeded 2,000-voter election's profile report from
+        # when every carried ballot's reports were relabeled one by one.
+        path = tmp_path / "election.csv"
+        path.write_text(seeded_election_csv(), encoding="utf-8")
+        out = json.dumps(profile_report(load_profile(path)), sort_keys=True)
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "8988dc0e2ceb3641c1f041cc2bc8a79b323ccdbd4ce6ef7fa8703efc55fb1e6f"
+        )
+
     @pytest.mark.parametrize(
         "argv, sha256",
         [
@@ -549,8 +559,12 @@ class TestHarness:
                 ["analyze", "--ballot", "f>c>k>a>h>b~d~e~g~i~j~l"],
                 "b1c76f47ce8e3d8fc0a4364a2ded923dd7f56630f3d65db5ffdb0cb5b06984a9",
             ),
+            (
+                ["verify", "--n", "7", "--trials", "50"],
+                "570826298ca1a10356898c31bc35ecbbe0f690ca8d8c3d601f200fcdda299a16",
+            ),
         ],
-        ids=["verify-n5", "analyze-12-candidates"],
+        ids=["verify-n5", "analyze-12-candidates", "verify-n7"],
     )
     def test_relation_json_bytes_are_pinned(self, capsys, argv, sha256):
         # Digests of the JSON output from when joins, meets and covers

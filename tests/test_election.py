@@ -734,26 +734,45 @@ class TestProfileReport:
         claims = {c["claim"]: c["verdict"] for c in types["c>a~b"]["claims"]}
         assert claims["T1"] == "holds" and claims["P1"] == "holds"
 
+    @staticmethod
+    def assert_order_checks_are_direct(entry, ballot):
+        """The entry's order checks equal the ballot's own, evaluated without carrying."""
+        text = entry["ballot"]
+        rel = relation_of(ballot)
+        assert entry["order"] == {
+            "is_top_truncated": is_top_truncated(rel),
+            "is_complete": is_complete(rel),
+            "is_total": is_total(rel),
+        }
+        direct = [
+            is_join_semilattice(rel, text),
+            is_modular(rel, text),
+            *check_remark1(rel, text),
+        ]
+        assert entry["claims"] == [report.to_dict() for report in direct]
+        assert entry["rationalizability"] == rationalizability_class(
+            canonical_utility(ballot), pair_record(ballot)
+        )
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_census_profile_matches_direct_evaluation(self, n):
         for entry in profile_report(census_profile(n))["ballot_types"]:
-            text = entry["ballot"]
-            ballot = parse_ballot(text)
-            rel = relation_of(ballot)
-            assert entry["order"] == {
-                "is_top_truncated": is_top_truncated(rel),
-                "is_complete": is_complete(rel),
-                "is_total": is_total(rel),
-            }
-            direct = [
-                is_join_semilattice(rel, text),
-                is_modular(rel, text),
-                *check_remark1(rel, text),
-            ]
-            assert entry["claims"] == [report.to_dict() for report in direct]
-            assert entry["rationalizability"] == rationalizability_class(
-                canonical_utility(ballot), pair_record(ballot)
-            )
+            self.assert_order_checks_are_direct(entry, parse_ballot(entry["ballot"]))
+
+    @given(pooled_profiles())
+    def test_shared_ballots_match_direct_evaluation(self, profile):
+        n = len(profile.candidates)
+        groups: dict = {}
+        for voter, ballot in profile.ballots:
+            groups.setdefault(format_ballot(ballot), (ballot, []))[1].append(voter)
+        entries = profile_report(profile)["ballot_types"]
+        assert [entry["ballot"] for entry in entries] == sorted(groups)
+        for entry in entries:
+            ballot, voters = groups[entry["ballot"]]
+            assert entry["voters"] == sorted(voters)
+            assert entry["count"] == len(voters)
+            assert entry["ranked_fraction"] == str(Fraction(len(ballot.ranked), n))
+            self.assert_order_checks_are_direct(entry, ballot)
 
     def test_checkers_run_once_per_shape(self, monkeypatch):
         calls = []
