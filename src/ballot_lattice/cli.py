@@ -115,6 +115,7 @@ def _universe(args) -> list[str] | None:
 
 
 def _lengths(raw: str) -> list[int]:
+    """The ``--lengths`` list, validated before any input is read."""
     try:
         return [_integer(piece) for piece in raw.split(",")]
     except argparse.ArgumentTypeError:
@@ -331,8 +332,8 @@ def _cmd_tabulate(args) -> int:
 
 def _cmd_truncate(args) -> int:
     universe = _universe(args)
-    profile = load_profile(args.input, candidates=universe)
     lengths = _lengths(args.lengths)
+    profile = load_profile(args.input, candidates=universe)
     report = truncation_experiment(profile, lengths)
     payload = report.to_dict()
 

@@ -110,15 +110,15 @@ class RankedBallot:
     unranked: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        ranked = tuple(_check_token(c) for c in self.ranked)
-        unranked = frozenset(_check_token(c) for c in self.unranked)
+        ranked = tuple(map(_check_token, self.ranked))
+        unranked = frozenset(map(_check_token, self.unranked))
         if not ranked:
             raise ValueError("a ballot must rank at least one candidate")
-        if len(set(ranked)) != len(ranked):
+        seen = set(ranked)
+        if len(seen) != len(ranked):
             raise ValueError(f"duplicate candidate in ranking: {list(ranked)}")
-        overlap = set(ranked) & unranked
-        if overlap:
-            raise ValueError(f"candidates both ranked and unranked: {sorted(overlap)}")
+        if not unranked.isdisjoint(seen):
+            raise ValueError(f"candidates both ranked and unranked: {sorted(seen & unranked)}")
         if len(unranked) == 1:
             ranked = ranked + (next(iter(unranked)),)
             unranked = frozenset()

@@ -3,7 +3,8 @@
 Everything here is exact: utilities are :class:`fractions.Fraction`,
 spatial witnesses carry rational coordinates, and only
 :func:`verify_concavity` (a sampling sanity check) drops to floating
-point.
+point.  It is also the only user of numpy, which it imports on first
+call, so the exact machinery loads without numpy.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Any, Iterable, Iterator, Mapping
-
-import numpy as np
 
 from .order import OrderRelation, RankedBallot, _exact_int, _pair, join, meet, relation_of
 
@@ -446,6 +445,9 @@ def verify_concavity(
     trials = _exact_int(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    # Deferred so that every command that never samples starts without numpy.
+    import numpy as np
+
     names = sorted(witness.points)
     pts = np.array([[float(v) for v in witness.points[c]] for c in names])
     if len(pts) < 2 or (pts == pts[0]).all():
@@ -454,7 +456,7 @@ def verify_concavity(
     peak = np.array([float(v) for v in witness.peak])
     rng = np.random.default_rng(seed)
 
-    def utility(z: np.ndarray) -> np.ndarray:
+    def utility(z):
         d = z - peak
         return -(d * d).sum(axis=1)
 

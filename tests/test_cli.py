@@ -407,6 +407,13 @@ class TestTruncate:
         code, padded, err = run_cli(capsys, *argv, "--lengths", " 2 ")
         assert code == 0 and err == "" and padded == plain
 
+    def test_bad_lengths_are_refused_before_the_input_is_read(self, capsys):
+        code, out, err = run_cli(
+            capsys, "truncate", "--input", "/nonexistent.csv", "--lengths", "x"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: --lengths: expected comma-separated integers, got 'x'\n"
+
     @pytest.mark.parametrize("lengths", ["0", "-1"])
     def test_non_positive_lengths_keep_the_range_error(self, capsys, lengths):
         code, _, err = run_cli(
@@ -617,6 +624,32 @@ class TestHarness:
             err = proc.stderr.read()
             assert proc.wait(timeout=60) == 141
         assert err == b""
+
+    def test_only_concavity_sampling_imports_numpy(self):
+        fixture = str(fixture_path())
+        script = f"""
+import contextlib, io, sys
+import ballot_lattice
+from ballot_lattice import cli
+exact = [
+    ["analyze", "--ballot", "x>y>z>a~b~c~d", "--format", "json"],
+    ["theorem3", "--full", "--ballot", "a>b~c~d"],
+    ["enumerate", "--n", "3"],
+    ["tabulate", "--input", {fixture!r}],
+    ["truncate", "--input", {fixture!r}, "--lengths", "1,2,3"],
+]
+for argv in exact:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+assert "numpy" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["witness", "--ballot", "a>b~c", "--trials", "20"]) == 0
+assert "numpy" in sys.modules
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     def test_module_entry_point(self):
         proc = subprocess.run(
