@@ -368,7 +368,9 @@ def _build_parser() -> _Parser:
 
     sub = add("verify", _cmd_verify, "exhaustively verify all claims on n candidates")
     sub.add_argument("--n", type=_integer, required=True)
-    sub.add_argument("--trials", type=_positive_int, default=1000, help="concavity samples per ballot")
+    sub.add_argument(
+        "--trials", type=_positive_int, default=1000, help="concavity samples per ballot shape"
+    )
 
     sub = add("enumerate", _cmd_enumerate, "list the full ballot census on n candidates")
     sub.add_argument("--n", type=_integer, required=True)
@@ -383,7 +385,7 @@ def _build_parser() -> _Parser:
     sub = add("witness", _cmd_witness, "spatial witness and concavity check for one ballot")
     sub.add_argument("--ballot", required=True)
     sub.add_argument("--candidates", help="comma-separated candidate universe")
-    sub.add_argument("--trials", type=_positive_int, default=1000)
+    sub.add_argument("--trials", type=_positive_int, default=1000, help="concavity samples")
 
     sub = add("tabulate", _cmd_tabulate, "instant-runoff tabulation of a CSV profile")
     sub.add_argument("--input", required=True, help="profile CSV path")

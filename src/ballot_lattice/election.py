@@ -11,7 +11,6 @@ exhausted.
 from __future__ import annotations
 
 import csv
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -64,8 +63,11 @@ class ProfileError(ValueError):
 class ElectionProfile:
     """A finite election: candidate universe plus one ballot per voter.
 
-    Voters may share one ballot object; each object's candidates are
-    checked against the universe once.
+    One pass over ``ballots`` rejects duplicate voter ids, checks each
+    distinct ballot against the universe once, and groups the voters by
+    ballot equality: ``_voters``, which counts, truncations and reports
+    read, maps each distinct ballot in first-seen order to its voters.
+    Not a field, it leaves equality, hashing and ``repr`` alone.
     """
 
     candidates: tuple[str, ...]
@@ -82,21 +84,23 @@ class ElectionProfile:
             raise ValueError("an election needs at least one ballot")
         universe = frozenset(cands)
         seen: set[str] = set()
-        checked: set[int] = set()
+        groups: dict[RankedBallot, list[str]] = {}
         for voter, ballot in ballots:
             if voter in seen:
                 raise ValueError(f"duplicate voter id {voter!r}")
             seen.add(voter)
-            if id(ballot) in checked:
-                continue
-            checked.add(id(ballot))
-            if ballot.candidates != universe:
-                raise ValueError(
-                    f"ballot for {voter!r} covers {sorted(ballot.candidates)}, "
-                    f"not the election's candidates {list(cands)}"
-                )
+            group = groups.get(ballot)
+            if group is None:
+                if ballot.candidates != universe:
+                    raise ValueError(
+                        f"ballot for {voter!r} covers {sorted(ballot.candidates)}, "
+                        f"not the election's candidates {list(cands)}"
+                    )
+                group = groups[ballot] = []
+            group.append(voter)
         object.__setattr__(self, "candidates", cands)
         object.__setattr__(self, "ballots", ballots)
+        object.__setattr__(self, "_voters", groups)
 
 
 def _validate_header(header: list[str]) -> None:
@@ -267,20 +271,16 @@ def tabulate_irv(profile: ElectionProfile) -> TabulationResult:
     live ballots wins; otherwise the lowest tally is eliminated, breaking
     ties by the previous round's tally and then by smallest id.  With a
     single candidate left, that candidate wins.  The count is
-    :func:`_tabulate`'s walk over the profile's distinct chains.
+    :func:`_tabulate`'s walk over the profile's voters grouped by ballot.
     """
-    return _tabulate(profile.candidates, Counter(b.ranked for _, b in profile.ballots))
+    return _tabulate(profile)
 
 
-def _tabulate(
-    candidates: Iterable[str],
-    counts: Mapping[tuple[str, ...], int],
-    depth: int | None = None,
-) -> TabulationResult:
-    """The instant-runoff round loop over counted ranked chains, as a hand count.
+def _tabulate(profile: ElectionProfile, depth: int | None = None) -> TabulationResult:
+    """The instant-runoff round loop over the profile's ballot groups, as a hand count.
 
-    ``counts`` maps each distinct chain to its number of voters.  Every
-    standing candidate keeps a pile of the chains counting for it, each
+    Each ballot group is one entry, its chain weighted by its voters.  Every
+    standing candidate keeps a pile of the entries counting for it, each
     entry a ``(chain, weight, end, cursor)`` held by index in parallel
     lists with ``chain[cursor]`` the holder, and a running total, which is
     that round's tally.  Eliminating a candidate moves only its pile: each
@@ -290,18 +290,17 @@ def _tabulate(
     ``depth`` links, which is how a truncated count exhausts; None counts
     whole chains.
     """
-    piles: dict[str, list[int]] = {c: [] for c in sorted(set(candidates))}
-    # Kept in sorted order: eliminations only delete keys.
+    # Sorted, like the profile's candidates: eliminations only delete keys.
+    piles: dict[str, list[int]] = {c: [] for c in profile.candidates}
     totals = dict.fromkeys(piles, 0)
-    chains = list(counts)
-    weights = list(counts.values())
+    chains = [ballot.ranked for ballot in profile._voters]
+    weights = list(map(len, profile._voters.values()))
     ends = list(map(len, chains))
     if depth is not None:
         ends = [end if end < depth else depth for end in ends]
     # Every chain starts in one pile, held by nobody, before its first link.
     cursors = [-1] * len(chains)
     moving: Iterable[int] = range(len(chains))
-    voters = sum(weights)
     exhausted = 0
     rounds: list[TabulationRound] = []
     prev_tallies: dict[str, int] = {}
@@ -318,7 +317,7 @@ def _tabulate(
             else:
                 exhausted += weights[i]
         tallies = dict(totals)
-        live = voters - exhausted
+        live = len(profile.ballots) - exhausted
         leader = max(tallies, key=tallies.get)
         # With one candidate left, ``tallies`` has one key: the leader is the survivor.
         if len(tallies) == 1 or (live > 0 and 2 * tallies[leader] > live):
@@ -339,9 +338,10 @@ def truncate_ballot(ballot: RankedBallot, length: int) -> RankedBallot:
     Ballot normalization applies, so truncating to one below the field
     size is a no-op.
     """
+    length = _exact_int(length, "truncation length")
     if length < 1:
         raise ValueError("truncation length must be at least 1")
-    keep = ballot.ranked[: min(length, len(ballot.ranked))]
+    keep = ballot.ranked[:length]
     return RankedBallot(keep, frozenset(ballot.candidates) - set(keep))
 
 
@@ -370,8 +370,8 @@ def truncation_experiment(
 
     Truncating a ballot to length L keeps the first L links of its ranked
     chain, so each length is one :func:`_tabulate` walk over the profile's
-    counted chains with depth L: a chain exhausts once its cursor passes
-    its first L links.  No ballot is rebuilt and no chain re-counted.  As
+    ballot groups with depth L: a chain exhausts once its cursor passes
+    its first L links.  No ballot is rebuilt and no voter regrouped.  As
     with :func:`truncate_ballot`, normalization makes lengths n - 1 and n
     both keep the full chain.
     """
@@ -382,9 +382,8 @@ def truncation_experiment(
     for length in wanted:
         if not 1 <= length <= n:
             raise ValueError(f"truncation length {length} outside 1..{n}")
-    counts = Counter(b.ranked for _, b in profile.ballots)
     results = {
-        length: _tabulate(profile.candidates, counts, length if length < n - 1 else n)
+        length: _tabulate(profile, length if length < n - 1 else n)
         for length in wanted
     }
     divergence = tuple(
@@ -410,9 +409,9 @@ def _order_block(ballot: RankedBallot, subject: str) -> tuple[list[ClaimReport],
 def profile_report(profile: ElectionProfile) -> dict:
     """Per-ballot structural summaries plus aggregate ranking statistics.
 
-    Ballots are grouped by identical content.  Order-level checks are
-    skipped with a note when the candidate universe exceeds the relation
-    cap; tabulation itself has no such cap.
+    Each ballot type is one of the profile's ballot groups.  Order-level
+    checks are skipped with a note when the candidate universe exceeds the
+    relation cap; tabulation itself has no such cap.
 
     The order-level results depend only on a ballot's shape (ranked count,
     unranked count), so :func:`~ballot_lattice.checks.carry_or_evaluate`
@@ -420,16 +419,12 @@ def profile_report(profile: ElectionProfile) -> dict:
     the shape reads its ``claims`` rows from that shape's positional plan.
     """
     n = len(profile.candidates)
-    groups: dict[RankedBallot, list[str]] = {}
-    for voter, ballot in profile.ballots:
-        groups.setdefault(ballot, []).append(voter)
-
     fractions = [str(Fraction(k, n)) for k in range(n + 1)]
     shapes: dict = {}
     entries = []
     total_ranked = 0
     for text, ballot, voters in sorted(
-        ((format_ballot(b), b, v) for b, v in groups.items()), key=itemgetter(0)
+        ((format_ballot(b), b, v) for b, v in profile._voters.items()), key=itemgetter(0)
     ):
         total_ranked += len(ballot.ranked) * len(voters)
         entry: dict = {

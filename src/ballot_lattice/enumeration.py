@@ -24,7 +24,7 @@ from .checks import (
     carry_or_evaluate,
     relation_claims,
 )
-from .order import RankedBallot, format_ballot, relation_of
+from .order import RankedBallot, _exact_int, format_ballot, relation_of
 from .representation import (
     PairRecord,
     canonical_utility,
@@ -58,6 +58,7 @@ SUBRECORD_SWEEP_MAX_N = 4
 
 def default_candidates(n: int) -> tuple[str, ...]:
     """Single-letter candidate ids ``a``, ``b``, ``c``, ..."""
+    n = _exact_int(n, "candidate count")
     if not 1 <= n <= len(string.ascii_lowercase):
         raise ValueError(f"candidate count {n} out of range")
     return tuple(string.ascii_lowercase[:n])
@@ -69,6 +70,7 @@ def ballot_count(n: int) -> int:
     Permutations of every prefix length, minus the length ``n - 1`` block
     that normalization folds into the full rankings.
     """
+    n = _exact_int(n, "candidate count")
     if n < 1:
         raise ValueError("need at least one candidate")
     if n == 1:

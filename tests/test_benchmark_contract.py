@@ -1,21 +1,40 @@
-"""The benchmark's per-layer metrics name functions the package still exports.
+"""The benchmark's contract with the package, checked in the tests first.
 
 ``BENCHMARK.json`` names each per-layer metric ``layer.function.metric``,
 and its tracer wraps every public non-class callable in a layer's
 ``__all__``.  A function that is renamed, moved or made private would
 leave its metrics untraced, and the benchmark marks such a run
-incorrect; this catches it in the tests first.  The file is only read.
+incorrect.  Each workload's pass also checks its outputs and hashes them
+against a recorded digest; a change that alters an output byte would
+otherwise show only when the benchmark refuses the run.  ``BENCHMARK.json``
+and ``perfbench/workloads.py`` are only read.
 """
 
 import importlib
 import inspect
 import json
+import sys
+import types
 from pathlib import Path
 
 import pytest
 
-SPEC = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 METRICS = [entry["name"] for entry in SPEC["per_layer"]]
+
+
+def perfbench_workloads() -> types.ModuleType:
+    """``perfbench/workloads.py`` as a module, compiled in memory so no bytecode is written."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        path = ROOT / "perfbench" / "workloads.py"
+        module = types.ModuleType(name)
+        module.__file__ = str(path)
+        # Registered first: dataclasses resolve their annotations through it.
+        sys.modules[name] = module
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return sys.modules[name]
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -28,3 +47,13 @@ def test_per_layer_function_is_public(metric):
     # Defined in the layer itself, so the tracer files it under this name
     # even when another layer re-exports it.
     assert fn.__module__ == module.__name__
+
+
+@pytest.mark.parametrize("workload", [entry["name"] for entry in SPEC["workloads"]])
+def test_default_seed_pass_passes_its_checks_and_digest(workload, tmp_path):
+    bench = perfbench_workloads()
+    run = bench.WORKLOADS[workload](bench.DEFAULT_SEED, tmp_path)
+    result = run.run_pass()
+    assert result.failures == []
+    assert result.failed == 0
+    assert result.digest() == bench.EXPECTED_DIGESTS[workload]

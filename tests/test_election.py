@@ -69,6 +69,13 @@ def random_profile(rng, max_candidates=6, max_voters=40):
     return profile_of(universe, *rankings)
 
 
+class Unwalkable(tuple):
+    """A ``ballots`` tuple that may be measured with ``len`` but not iterated."""
+
+    def __iter__(self):
+        raise AssertionError("profile.ballots was iterated")
+
+
 def assert_matches_reference(profile):
     result = tabulate_irv(profile)
     ref_rounds, ref_winner = oracles.irv_reference(profile)
@@ -102,6 +109,31 @@ class TestElectionProfile:
         stray = RankedBallot(("a", "b"), frozenset())
         with pytest.raises(ValueError, match="covers"):
             ElectionProfile(("a", "b", "c"), (("v1", stray),))
+
+    def test_first_fault_in_voter_order_is_raised(self):
+        ballot = ballot_over("abc", ["a"])
+        stray = RankedBallot(("a", "b"), frozenset())
+        duplicate_first = (("v1", ballot), ("v1", ballot), ("v2", stray))
+        stray_first = (("v1", ballot), ("v2", stray), ("v1", ballot))
+        with pytest.raises(ValueError, match="duplicate voter"):
+            ElectionProfile(("a", "b", "c"), duplicate_first)
+        with pytest.raises(ValueError, match="covers"):
+            ElectionProfile(("a", "b", "c"), stray_first)
+
+    def test_counts_and_reports_never_walk_the_voters_again(self):
+        profile = random_profile(random.Random(14), max_voters=60)
+        lengths = range(1, len(profile.candidates) + 1)
+
+        def outputs():
+            return (
+                tabulate_irv(profile),
+                truncation_experiment(profile, lengths),
+                profile_report(profile),
+            )
+
+        expected = outputs()
+        object.__setattr__(profile, "ballots", Unwalkable(profile.ballots))
+        assert outputs() == expected
 
 
 class TestLoadProfile:
@@ -396,12 +428,16 @@ class TestLoadSharesBallots:
             return candidates.fget(ballot)
 
         shared = [ballot_over("abc", ["a"]), ballot_over("abc", ["b", "c"])]
+        # Equal to ``shared`` but distinct objects, which join the same groups.
+        copies = [ballot_over("abc", ["a"]), ballot_over("abc", ["b", "c"])]
+        pool = shared + copies
         monkeypatch.setattr(RankedBallot, "candidates", property(counted_candidates))
         profile = ElectionProfile(
-            ("a", "b", "c"), tuple((f"v{i}", shared[i % 2]) for i in range(50))
+            ("a", "b", "c"), tuple((f"v{i}", pool[i % 4]) for i in range(50))
         )
         assert len(profile.ballots) == 50
-        assert calls == shared
+        assert [id(b) for b in calls] == [id(b) for b in shared]
+        assert [len(voters) for voters in profile._voters.values()] == [25, 25]
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +549,12 @@ class TestTruncation:
         assert cut.unranked == frozenset({"b", "c", "d"})
         with pytest.raises(ValueError):
             truncate_ballot(ballot, 0)
+
+    @pytest.mark.parametrize("bad", [True, 1.5, "2"])
+    def test_truncate_ballot_length_must_be_an_integer(self, bad):
+        ballot = ballot_over("abcd", ["a", "b", "c"])
+        with pytest.raises(ValueError, match=f"must be an integer, got {bad!r}"):
+            truncate_ballot(ballot, bad)
 
     def test_truncating_to_field_size_minus_one_is_a_noop(self):
         ballot = ballot_over("abc", ["a", "b", "c"])

@@ -73,6 +73,12 @@ class TestCensus:
         with pytest.raises(ValueError):
             ballot_count(0)
 
+    @pytest.mark.parametrize("bad", [True, 1.5, "2"])
+    @pytest.mark.parametrize("count", [default_candidates, ballot_count, exhaustive_verify])
+    def test_candidate_count_must_be_an_integer(self, count, bad):
+        with pytest.raises(ValueError, match=f"candidate count must be an integer, got {bad!r}"):
+            count(bad)
+
 
 class TestExhaustiveVerify:
     def test_n3_summary(self):
