@@ -75,33 +75,10 @@ def _integer(raw: str) -> int:
     return int(text)
 
 
-def _enumeration_cap() -> int:
-    raw = os.environ.get("BALLOT_LATTICE_MAX_N")
-    if raw is None:
-        return MAX_ENUMERATION_CANDIDATES
-    try:
-        value = _integer(raw)
-    except argparse.ArgumentTypeError:
-        raise ValueError(f"BALLOT_LATTICE_MAX_N must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError("BALLOT_LATTICE_MAX_N must be at least 1")
-    # The environment may lower the cap, never raise it.
-    return min(value, MAX_ENUMERATION_CANDIDATES)
-
-
 def _check_n(n: int) -> int:
-    cap = _enumeration_cap()
-    if not 1 <= n <= cap:
-        note = " (lowered by BALLOT_LATTICE_MAX_N)" if cap < MAX_ENUMERATION_CANDIDATES else ""
-        raise ValueError(f"--n must be within 1..{cap}{note}")
+    if not 1 <= n <= MAX_ENUMERATION_CANDIDATES:
+        raise ValueError(f"--n must be within 1..{MAX_ENUMERATION_CANDIDATES}")
     return n
-
-
-def _positive_int(raw: str) -> int:
-    value = _integer(raw)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def _universe(args) -> list[str] | None:
@@ -191,7 +168,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_verify(args) -> int:
     n = _check_n(args.n)
-    summary = exhaustive_verify(n, trials=args.trials)
+    summary = exhaustive_verify(n)
     payload = summary.to_dict()
 
     def render(p):
@@ -263,8 +240,13 @@ def _cmd_theorem3(args) -> int:
         _emit(payload, args, render)
         return 0
 
-    # The record is the ballot's own, so there is no sub-record to validate.
-    verdict = _disjunction(ballot, pair_record(ballot).pairs)
+    # The record is the ballot's own, so it is empty only for one candidate.
+    pairs = pair_record(ballot).pairs
+    if not pairs:
+        raise ValueError(
+            f"ballot {format_ballot(ballot)!r} has one candidate, so its record is empty"
+        )
+    verdict = _disjunction(ballot, pairs)
     payload = {
         "ballot": format_ballot(ballot),
         "mode": "full",
@@ -287,7 +269,7 @@ def _cmd_witness(args) -> int:
     ballot = parse_ballot(args.ballot, universe)
     witness = concave_witness(ballot)
     utilities = witness.utilities()
-    concavity = verify_concavity(witness, args.trials)
+    concavity = verify_concavity(witness)
     payload = {
         "ballot": format_ballot(ballot),
         "witness": witness.to_dict(),
@@ -368,9 +350,6 @@ def _build_parser() -> _Parser:
 
     sub = add("verify", _cmd_verify, "exhaustively verify all claims on n candidates")
     sub.add_argument("--n", type=_integer, required=True)
-    sub.add_argument(
-        "--trials", type=_positive_int, default=1000, help="concavity samples per ballot shape"
-    )
 
     sub = add("enumerate", _cmd_enumerate, "list the full ballot census on n candidates")
     sub.add_argument("--n", type=_integer, required=True)
@@ -385,7 +364,6 @@ def _build_parser() -> _Parser:
     sub = add("witness", _cmd_witness, "spatial witness and concavity check for one ballot")
     sub.add_argument("--ballot", required=True)
     sub.add_argument("--candidates", help="comma-separated candidate universe")
-    sub.add_argument("--trials", type=_positive_int, default=1000, help="concavity samples")
 
     sub = add("tabulate", _cmd_tabulate, "instant-runoff tabulation of a CSV profile")
     sub.add_argument("--input", required=True, help="profile CSV path")

@@ -26,6 +26,7 @@ from .order import (
     RankedBallot,
     _check_token,
     _exact_int,
+    _ids,
     format_ballot,
     is_complete,
     is_top_truncated,
@@ -74,7 +75,7 @@ class ElectionProfile:
     ballots: tuple[tuple[str, RankedBallot], ...]
 
     def __post_init__(self):
-        cands = tuple(sorted(set(self.candidates)))
+        cands = tuple(sorted(set(_ids(self.candidates, "candidates"))))
         if len(cands) < 3:
             raise ValueError(
                 f"an election needs at least three candidates, got {len(cands)}"
@@ -170,7 +171,9 @@ def load_profile(path, *, candidates: Iterable[str] | None = None) -> ElectionPr
             candidates outside the supplied universe, or fewer than three
             candidates overall.
     """
-    universe = None if candidates is None else {_check_token(c) for c in candidates}
+    universe = None
+    if candidates is not None:
+        universe = {_check_token(c) for c in _ids(candidates, "candidates")}
     rows: list[tuple[int, str, tuple[str, ...]]] = []
     scanned: dict[tuple[str, ...], tuple[str, ...]] = {}
     # Each distinct chain, in file order, with the line of its first voter.

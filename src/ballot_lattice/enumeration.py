@@ -11,7 +11,6 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from itertools import permutations
 from typing import Iterable, Iterator
 
@@ -175,9 +174,7 @@ class VerificationSummary:
         }
 
 
-def _witness_issues(
-    ballot: RankedBallot, record: PairRecord, trials: int
-) -> tuple[list, str]:
+def _witness_issues(ballot: RankedBallot, record: PairRecord) -> tuple[list, str]:
     """Check the spatial witness; returns (issues, rationalizability class)."""
     witness = concave_witness(ballot)
     issues = []
@@ -191,15 +188,13 @@ def _witness_issues(
         if witness.utility(c) != expected:
             issues.append({"candidate": c, "got": str(witness.utility(c)), "want": str(expected)})
     cls = rationalizability_class(witness.utilities(), record)
-    report = verify_concavity(witness, trials)
+    report = verify_concavity(witness)
     if not report.ok:
         issues.append({"concavity": report.witness})
     return issues, cls
 
 
-def _claim_block(
-    ballot: RankedBallot, subject: str, trials: int
-) -> tuple[list[ClaimReport], None]:
+def _claim_block(ballot: RankedBallot, subject: str) -> tuple[list[ClaimReport], None]:
     """Every claim's report on one census ballot, evaluated directly."""
     rel = relation_of(ballot)
     reports = relation_claims(rel, subject)
@@ -227,13 +222,13 @@ def _claim_block(
         reports.append(ClaimReport("T3.full", subject, VACUOUS))
         reports.append(ClaimReport("T3.sub", subject, VACUOUS))
 
-    issues, got_class = _witness_issues(ballot, record, trials)
+    issues, got_class = _witness_issues(ballot, record)
     t4 = {"issues": issues, "class": got_class, "expected": expected_class}
     reports.append(ClaimReport.of("T4", subject, not issues and got_class == expected_class, t4))
     return reports, None
 
 
-def exhaustive_verify(n: int, *, trials: int = 1000) -> VerificationSummary:
+def exhaustive_verify(n: int) -> VerificationSummary:
     """Run every claim over the full ballot census on ``n`` candidates.
 
     Every claim is a property of a ballot's relation up to relabeling, so
@@ -242,8 +237,7 @@ def exhaustive_verify(n: int, *, trials: int = 1000) -> VerificationSummary:
     that shape's positional plan
     (:func:`~ballot_lattice.checks.carry_or_evaluate`); the ballots of a
     shape whose witnesses cannot be carried are each checked directly.
-    T4's concavity sampling therefore draws ``trials`` samples once per
-    shape.
+    T4's concavity sampling therefore runs once per shape.
 
     The record-disjunction claims (``T3.*``) cost up to ``2^pairs`` per
     checked ballot, so they run only for ``n <= SUBRECORD_SWEEP_MAX_N`` and
@@ -258,13 +252,13 @@ def exhaustive_verify(n: int, *, trials: int = 1000) -> VerificationSummary:
     stats = {
         code: ClaimStats(code, text, must) for code, (text, must) in CLAIM_REGISTRY.items()
     }
+    candidates = default_candidates(n)
     shapes: dict = {}
-    evaluate = partial(_claim_block, trials=trials)
     count = 0
-    for ballot in enumerate_ballots(default_candidates(n)):
+    for ballot in enumerate_ballots(candidates):
         count += 1
         subject = format_ballot(ballot)
-        rows, _ = carry_or_evaluate(shapes, ballot, subject, evaluate)
+        rows, _ = carry_or_evaluate(shapes, ballot, subject, _claim_block)
         for row in rows:
             stats[row["claim"]].record(row["verdict"], subject, row["witness"])
-    return VerificationSummary(n, count, list(stats.values()))
+    return VerificationSummary(len(candidates), count, list(stats.values()))

@@ -87,6 +87,13 @@ def _pair(pair) -> tuple[str, str]:
     raise ValueError(f"invalid pair {pair!r}: expected a 2-element tuple or list of candidate ids")
 
 
+def _ids(values, what: str):
+    """``values`` as given; a bare string, which iterates as its characters, is refused."""
+    if isinstance(values, str):
+        raise ValueError(f"invalid {what} {values!r}: expected a collection of candidate ids")
+    return values
+
+
 def _exact_int(value, what: str) -> int:
     """``value`` as an exact integer; bools, floats and strings are refused."""
     if not isinstance(value, bool):
@@ -110,8 +117,8 @@ class RankedBallot:
     unranked: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        ranked = tuple(map(_check_token, self.ranked))
-        unranked = frozenset(map(_check_token, self.unranked))
+        ranked = tuple(map(_check_token, _ids(self.ranked, "ranked")))
+        unranked = frozenset(map(_check_token, _ids(self.unranked, "unranked")))
         if not ranked:
             raise ValueError("a ballot must rank at least one candidate")
         seen = set(ranked)
@@ -154,11 +161,11 @@ def parse_ballot(text: str, candidates: Iterable[str] | None = None) -> RankedBa
 
     Raises:
         GrammarError: malformed text, with a 1-based column offset.
-        ValueError: an invalid candidate universe.
+        ValueError: an invalid candidate universe, or a bare string for it.
     """
     universe = None
     if candidates is not None:
-        universe = frozenset(_check_token(c) for c in candidates)
+        universe = frozenset(_check_token(c) for c in _ids(candidates, "candidates"))
 
     groups: list[tuple[int, list[tuple[int, str]]]] = []
     column = 1
@@ -228,7 +235,7 @@ class OrderRelation:
     pairs: frozenset[tuple[str, str]]
 
     def __post_init__(self):
-        cands = tuple(sorted({_check_token(c) for c in self.candidates}))
+        cands = tuple(sorted({_check_token(c) for c in _ids(self.candidates, "candidates")}))
         if not cands:
             raise ValueError("a relation needs at least one candidate")
         if len(cands) > MAX_RELATION_CANDIDATES:
@@ -276,7 +283,7 @@ class OrderRelation:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "OrderRelation":
-        return cls(tuple(payload["candidates"]), payload["pairs"])
+        return cls(payload["candidates"], payload["pairs"])
 
     def digest(self) -> str:
         """Short stable identifier for reports."""

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Any, Iterable, Iterator, Mapping
 
-from .order import OrderRelation, RankedBallot, _exact_int, _pair, join, meet, relation_of
+from .order import OrderRelation, RankedBallot, _pair, join, meet, relation_of
 
 __all__ = [
     "ALL_SUBSETS_CAP",
@@ -404,6 +404,11 @@ def concave_witness(ballot: RankedBallot) -> SpatialWitness:
     return SpatialWitness(dim, tuple([zero] * dim), points)
 
 
+# Pairs drawn by ``verify_concavity``; fixed, like its seed, so that a
+# witness reports the same on every run.
+_CONCAVITY_TRIALS = 1000
+
+
 @dataclass(frozen=True)
 class ConcavityReport:
     """Outcome of sampled concavity checks; truthy when every trial passed."""
@@ -419,32 +424,19 @@ class ConcavityReport:
         return {"ok": self.ok, "trials": self.trials, "witness": self.witness}
 
 
-def verify_concavity(
-    witness: SpatialWitness,
-    trials: int = 1000,
-    *,
-    seed: int = 0,
-    tolerance: float = 1e-9,
-) -> ConcavityReport:
+def verify_concavity(witness: SpatialWitness) -> ConcavityReport:
     """Sample convex combinations and re-check both concavity inequalities.
 
-    Pairs of distinct points are drawn from the convex hull of the
-    embedding; each trial checks the strict-concavity and
-    strict-quasiconcavity inequalities at a sampled lambda and at the
-    midpoint, with ``tolerance`` of slack on the comparisons.  Draws whose
-    endpoints coincide in floating point are rejected and resampled; an
-    embedding whose points all coincide in floating point has no distinct
-    pairs, and like a single point reports ok after 0 trials.  The
-    quadratic rule is concave analytically; this is a floating-point
-    sanity check, not the argument.
-
-    Raises:
-        ValueError: ``trials`` is not an integer of at least 1; bools,
-            floats and strings are refused.
+    Draws 1,000 pairs of distinct points from the convex hull of the
+    embedding, always from the same seed; each trial checks the
+    strict-concavity and strict-quasiconcavity inequalities at a sampled
+    lambda and at the midpoint, with 1e-9 of slack on the comparisons.
+    Draws whose endpoints coincide in floating point are rejected and
+    resampled; an embedding whose points all coincide in floating point
+    has no distinct pairs, and like a single point reports ok after 0
+    trials.  The quadratic rule is concave analytically; this is a
+    floating-point sanity check, not the argument.
     """
-    trials = _exact_int(trials, "trials")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
     # Deferred so that every command that never samples starts without numpy.
     import numpy as np
 
@@ -454,7 +446,8 @@ def verify_concavity(
         # One point, or points that round to one, has no distinct pairs to test.
         return ConcavityReport(True, 0)
     peak = np.array([float(v) for v in witness.peak])
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
+    trials = _CONCAVITY_TRIALS
 
     def utility(z):
         d = z - peak
@@ -462,7 +455,7 @@ def verify_concavity(
 
     done = 0
     while done < trials:
-        batch = min(trials - done, 4096)
+        batch = trials - done
         weights = rng.dirichlet(np.ones(len(names)), size=(batch, 2))
         lam = np.clip(rng.uniform(size=batch), 1e-9, 1 - 1e-9)
         x = weights[:, 0, :] @ pts
@@ -475,7 +468,7 @@ def verify_concavity(
             umix = utility(mix)
             concave_margin = umix - (lam_vec * ux + (1 - lam_vec) * uy)
             quasi_margin = umix - np.minimum(ux, uy)
-            bad = (concave_margin <= -tolerance) | (quasi_margin <= -tolerance)
+            bad = (concave_margin <= -1e-9) | (quasi_margin <= -1e-9)
             if bad.any():
                 i = int(np.argmax(bad))
                 return ConcavityReport(

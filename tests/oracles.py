@@ -119,7 +119,7 @@ def closed_form_count(n: int) -> int:
     return sum(fact(n) // fact(n - k) for k in range(1, n + 1)) - fact(n)
 
 
-def direct_verify(n: int, trials: int = 1000) -> VerificationSummary:
+def direct_verify(n: int) -> VerificationSummary:
     """The claim sweep with every census ballot evaluated on its own.
 
     The reference for ``exhaustive_verify``, which checks one ballot per
@@ -162,7 +162,7 @@ def direct_verify(n: int, trials: int = 1000) -> VerificationSummary:
             stats["T3.full"].record(VACUOUS, subject)
             stats["T3.sub"].record(VACUOUS, subject)
 
-        issues, got_class = _witness_issues(ballot, record, trials)
+        issues, got_class = _witness_issues(ballot, record)
         if not issues and got_class == expected_class:
             stats["T4"].record(HOLDS, subject)
         else:

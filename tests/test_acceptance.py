@@ -60,7 +60,7 @@ def sweeps():
     out = {}
     for n in SWEEP_SIZES:
         start = time.perf_counter()
-        summary = exhaustive_verify(n, trials=1000)
+        summary = exhaustive_verify(n)
         out[n] = (summary, time.perf_counter() - start)
     return out
 
@@ -198,7 +198,7 @@ def test_criterion_6_concave_witness(sweeps):
         Fraction(0), Fraction(-1), Fraction(-4),
         Fraction(-9), Fraction(-9), Fraction(-9), Fraction(-9),
     ]
-    report = verify_concavity(fixture, 1000, tolerance=1e-9)
+    report = verify_concavity(fixture)
     ok &= report.ok and report.trials == 1000
     conclude(6, ok, "witness utilities exact, class almost-strict, 1000-sample concavity checks pass")
 

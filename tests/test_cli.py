@@ -99,13 +99,13 @@ class TestAnalyze:
 
 class TestVerify:
     def test_n3_text(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--n", "3", "--trials", "50")
+        code, out, _ = run_cli(capsys, "verify", "--n", "3")
         assert code == 0
         assert "9 ballots" in out
         assert "result: ok" in out
 
     def test_n3_json_counts(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--n", "3", "--format", "json", "--trials", "50")
+        code, out, _ = run_cli(capsys, "verify", "--n", "3", "--format", "json")
         assert code == 0
         payload = json.loads(out)
         claims = {c["claim"]: c for c in payload["claims"]}
@@ -116,7 +116,7 @@ class TestVerify:
 
     def test_must_failure_exits_two(self, capsys):
         # the single-candidate universe honestly fails the co-atom bound
-        code, out, _ = run_cli(capsys, "verify", "--n", "1", "--format", "json", "--trials", "5")
+        code, out, _ = run_cli(capsys, "verify", "--n", "1", "--format", "json")
         assert code == 2
         assert json.loads(out)["must_failures"] == ["R1.4"]
 
@@ -124,27 +124,16 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--n", "8")
         assert code == 1 and "1..7" in err
 
-    def test_env_var_lowers_the_cap(self, capsys, monkeypatch):
+    def test_env_var_no_longer_lowers_the_cap(self, capsys, monkeypatch):
+        plain = run_cli(capsys, "verify", "--n", "4")
         monkeypatch.setenv("BALLOT_LATTICE_MAX_N", "3")
-        code, _, err = run_cli(capsys, "verify", "--n", "4")
-        assert code == 1 and "1..3" in err and "BALLOT_LATTICE_MAX_N" in err
+        assert run_cli(capsys, "verify", "--n", "4") == plain
+        assert plain[0] == 0 and "40 ballots" in plain[1]
 
     def test_env_var_cannot_raise_the_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("BALLOT_LATTICE_MAX_N", "99")
         code, _, err = run_cli(capsys, "verify", "--n", "8")
         assert code == 1 and "1..7" in err
-
-    def test_invalid_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("BALLOT_LATTICE_MAX_N", "many")
-        code, _, err = run_cli(capsys, "verify", "--n", "3")
-        assert code == 1 and "BALLOT_LATTICE_MAX_N" in err
-
-    @pytest.mark.parametrize("raw", ["0_3", "\u0663", "+3"])
-    def test_env_var_must_be_an_ascii_integer(self, capsys, monkeypatch, raw):
-        monkeypatch.setenv("BALLOT_LATTICE_MAX_N", raw)
-        code, out, err = run_cli(capsys, "verify", "--n", "3")
-        assert code == 1 and out == ""
-        assert err == f"error: BALLOT_LATTICE_MAX_N must be an integer, got {raw!r}\n"
 
     @pytest.mark.parametrize("command", ["verify", "enumerate"])
     @pytest.mark.parametrize("raw", ["0_3", "\u0663", "3.0", "x"])
@@ -199,8 +188,10 @@ class TestTheorem3:
         assert len(relation_builds) == 1
 
     def test_full_record_of_one_candidate_is_refused(self, capsys):
-        code, _, err = run_cli(capsys, "theorem3", "--ballot", "a", "--candidates", "a")
-        assert code == 1 and err == "error: sub-record must be nonempty\n"
+        for argv in (["--ballot", "a", "--candidates", "a"], ["--full", "--ballot", "a"]):
+            code, out, err = run_cli(capsys, "theorem3", *argv)
+            assert (code, out) == (1, "")
+            assert err == "error: ballot 'a' has one candidate, so its record is empty\n"
 
     def test_full_is_the_default(self, capsys):
         code, out, _ = run_cli(capsys, "theorem3", "--ballot", "p>q>r", "--format", "json")
@@ -252,30 +243,16 @@ class TestWitness:
         assert payload["concavity"]["ok"] is True
         assert payload["concavity"]["trials"] == 1000
 
-    def test_trials_flag(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "witness", "--ballot", "p>q", "--trials", "25", "--format", "json"
-        )
-        assert json.loads(out)["concavity"]["trials"] == 25
-
     @pytest.mark.parametrize(
-        "command", [["witness", "--ballot", "p>q"], ["verify", "--n", "3"]], ids=["witness", "verify"]
+        "argv",
+        [["witness", "--ballot", "p>q", "--trials", "20"], ["verify", "--n", "3", "--trials", "5"]],
+        ids=["witness", "verify"],
     )
-    @pytest.mark.parametrize("trials", ["0", "-5"])
-    def test_non_positive_trials_rejected(self, capsys, command, trials):
-        code, out, err = run_cli(capsys, *command, "--trials", trials, "--format", "json")
+    def test_refuses_the_trials_flag(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
-        assert err.startswith("error: argument --trials: must be at least 1")
-        assert err.count("\n") == 1
-
-    @pytest.mark.parametrize(
-        "command", [["witness", "--ballot", "p>q"], ["verify", "--n", "3"]], ids=["witness", "verify"]
-    )
-    @pytest.mark.parametrize("trials", ["1_0", "\u0663"])
-    def test_trials_must_be_an_ascii_integer(self, capsys, command, trials):
-        code, out, err = run_cli(capsys, *command, "--trials", trials, "--format", "json")
-        assert code == 1 and out == ""
-        assert err == f"error: argument --trials: expected an integer, got {trials!r}\n"
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--trials" in err
 
     def test_text(self, capsys):
         code, out, _ = run_cli(capsys, "witness", "--ballot", "g>a~b")
@@ -445,7 +422,7 @@ class TestHarness:
             outputs.append(out)
         assert outputs[0] == outputs[1]
         for _ in range(2):
-            _, out, _ = run_cli(capsys, "verify", "--n", "3", "--format", "json", "--trials", "100")
+            _, out, _ = run_cli(capsys, "verify", "--n", "3", "--format", "json")
             outputs.append(out)
         assert outputs[2] == outputs[3]
 
@@ -559,7 +536,7 @@ class TestHarness:
         "argv, sha256",
         [
             (
-                ["verify", "--n", "5", "--trials", "50"],
+                ["verify", "--n", "5"],
                 "a838add151fdd1e7c8785da12d0fd4fe9c5f87f971149a9f2d7c94f8e8bb7e3d",
             ),
             (
@@ -567,7 +544,7 @@ class TestHarness:
                 "b1c76f47ce8e3d8fc0a4364a2ded923dd7f56630f3d65db5ffdb0cb5b06984a9",
             ),
             (
-                ["verify", "--n", "7", "--trials", "50"],
+                ["verify", "--n", "7"],
                 "570826298ca1a10356898c31bc35ecbbe0f690ca8d8c3d601f200fcdda299a16",
             ),
         ],
@@ -584,13 +561,13 @@ class TestHarness:
         calls = [
             ["analyze", "--ballot", "x>y>z>a~b~c~d", "--format", "json"],
             ["verify", "--n", "3", "--bogus"],
-            ["witness", "--ballot", "a>b~c", "--trials", "20", "--format", "json"],
+            ["witness", "--ballot", "a>b~c", "--format", "json"],
             ["theorem3", "--full", "--all-subsets", "--ballot", "a>b~c"],
             ["theorem3", "--ballot", "a>b~c~d"],
             ["tabulate", "--input", str(fixture_path()), "--format", "json"],
             ["frobnicate"],
             ["truncate", "--input", str(fixture_path()), "--lengths", "1,2,3"],
-            ["verify", "--n", "3", "--trials", "20"],
+            ["verify", "--n", "3"],
         ]
         shared = [run_cli(capsys, *argv) for argv in calls]
         assert cli._build_parser.cache_info().currsize == 1
@@ -643,7 +620,7 @@ for argv in exact:
         assert cli.main(argv) == 0, argv
 assert "numpy" not in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["witness", "--ballot", "a>b~c", "--trials", "20"]) == 0
+    assert cli.main(["witness", "--ballot", "a>b~c"]) == 0
 assert "numpy" in sys.modules
 """
         proc = subprocess.run(

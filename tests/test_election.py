@@ -105,6 +105,11 @@ class TestElectionProfile:
         with pytest.raises(ValueError, match="duplicate voter"):
             ElectionProfile(("a", "b", "c"), (("v1", ballot), ("v1", ballot)))
 
+    def test_bare_string_candidates_are_refused(self):
+        ballot = ballot_over("abc", ["a"])
+        with pytest.raises(ValueError, match=r"invalid candidates 'abc': expected a collection"):
+            ElectionProfile("abc", (("v1", ballot),))
+
     def test_ballots_must_cover_the_universe(self):
         stray = RankedBallot(("a", "b"), frozenset())
         with pytest.raises(ValueError, match="covers"):
@@ -196,6 +201,10 @@ class TestLoadProfile:
         with pytest.raises(ValueError, match="invalid candidate id 'd-e'") as info:
             load_profile(path, candidates=["x", "y", "d-e"])
         assert not isinstance(info.value, ProfileError)
+
+    def test_bare_string_universe_is_refused(self):
+        with pytest.raises(ValueError, match=r"invalid candidates 'abc': expected a collection"):
+            load_profile(fixture_path(), candidates="abc")
 
     def test_unknown_candidate_with_explicit_universe(self, tmp_path):
         path = self.write(tmp_path, "voter_id,rank1\nv1,q\n")

@@ -75,6 +75,13 @@ class TestRankedBallot:
         with pytest.raises(ValueError, match="invalid candidate id"):
             RankedBallot(("ok",), frozenset({""}))
 
+    def test_bare_strings_are_refused(self):
+        # A string is a collection of its characters; "alice" is one id, not five.
+        with pytest.raises(ValueError, match=r"invalid ranked 'alice': expected a collection"):
+            RankedBallot("alice")
+        with pytest.raises(ValueError, match=r"invalid unranked 'bc': expected a collection"):
+            RankedBallot(("a",), "bc")
+
     def test_rank_of(self, deep_ballot):
         assert deep_ballot.rank_of("x") == 1
         assert deep_ballot.rank_of("z") == 3
@@ -91,6 +98,10 @@ class TestParseBallot:
     def test_chain_with_tie_tail(self, deep_ballot):
         assert deep_ballot.ranked == ("x", "y", "z")
         assert deep_ballot.unranked == frozenset({"a", "b", "c", "d"})
+
+    def test_bare_string_universe_is_refused(self):
+        with pytest.raises(ValueError, match=r"invalid candidates 'abc': expected a collection"):
+            parse_ballot("a>b", "abc")
 
     def test_single_candidate(self):
         ballot = parse_ballot("a", candidates={"a"})
@@ -265,6 +276,12 @@ class TestClassifiers:
             OrderRelation.from_dict({"candidates": ["a", "b"], "pairs": [pair]})
         with pytest.raises(ValueError, match=r"invalid pair .*2-element"):
             OrderRelation(("a", "b"), frozenset({pair if isinstance(pair, str) else tuple(pair)}))
+
+    def test_bare_string_candidates_are_refused(self):
+        with pytest.raises(ValueError, match=r"invalid candidates 'abc': expected a collection"):
+            OrderRelation("abc", frozenset())
+        with pytest.raises(ValueError, match=r"invalid candidates 'ab': expected a collection"):
+            OrderRelation.from_dict({"candidates": "ab", "pairs": []})
 
     def test_unknown_pair_member_is_named(self):
         with pytest.raises(ValueError, match=r"pair \('a', 'z'\) mentions an unknown candidate"):
