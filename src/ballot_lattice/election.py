@@ -27,6 +27,7 @@ from .order import (
     _check_token,
     _exact_int,
     _ids,
+    _settled,
     format_ballot,
     is_complete,
     is_top_truncated,
@@ -141,16 +142,6 @@ def _scan_ranking(cells: tuple[str, ...], line: int) -> tuple[str, ...]:
     return tuple(ranked)
 
 
-def _blame_invalid_id(first_line: Mapping[tuple[str, ...], int]) -> None:
-    """Blame the first row, in file order, that ranks an invalid id, on its first such id."""
-    for chain, line in first_line.items():
-        for cand in chain:
-            try:
-                _check_token(cand)
-            except ValueError as exc:
-                raise ProfileError(str(exc), line) from None
-
-
 def load_profile(path, *, candidates: Iterable[str] | None = None) -> ElectionProfile:
     """Load an election from ``voter_id,rank1,...,rankJ`` CSV.
 
@@ -159,25 +150,28 @@ def load_profile(path, *, candidates: Iterable[str] | None = None) -> ElectionPr
     the universe is the union of all mentioned candidates.  Blank cells
     may only pad out the end of a row.
 
-    Each distinct row of rank cells is scanned once, and each distinct
-    ranked chain is validated and built into one :class:`RankedBallot`
-    that every voter who cast it shares.  Each error keeps the message
-    and line of a load that scans and builds every voter's row anew; an
-    invalid candidate id is blamed on the first row that ranks one,
-    before any ballot is built or voter id compared.
+    Each distinct row of rank cells is scanned once, and each candidate
+    id is checked once, as it is first read.  Each distinct chain is built,
+    unchecked, into one :class:`RankedBallot` that all its voters share.
+    Errors keep the message, line and precedence of a per-voter load.
 
     Raises:
-        ProfileError: malformed header or row, duplicate voter ids,
-            candidates outside the supplied universe, or fewer than three
-            candidates overall.
+        ValueError: an invalid ``candidates`` id, or a bare string for it,
+            before the file is read.
+        ProfileError: malformed header or row, an invalid candidate id,
+            duplicate voter ids, candidates outside the supplied universe,
+            or fewer than three candidates overall.
     """
     universe = None
     if candidates is not None:
         universe = {_check_token(c) for c in _ids(candidates, "candidates")}
-    rows: list[tuple[int, str, tuple[str, ...]]] = []
+    # Every id met so far: the explicit universe, or each id once it is read.
+    known = set() if universe is None else set(universe)
+    rows: list[tuple[str, tuple[str, ...]]] = []
     scanned: dict[tuple[str, ...], tuple[str, ...]] = {}
-    # Each distinct chain, in file order, with the line of its first voter.
-    first_line: dict[tuple[str, ...], int] = {}
+    voters: set[str] = set()
+    # The first unknown id, invalid id and repeated voter, raised once the file is read.
+    unknown = invalid = repeat = None
     # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
     with Path(path).open(newline="", encoding="utf-8-sig") as handle:
         reader = _csv_rows(handle)
@@ -197,47 +191,40 @@ def load_profile(path, *, candidates: Iterable[str] | None = None) -> ElectionPr
             voter = row[0].strip()
             if not voter:
                 raise ProfileError("missing voter_id", line)
+            if voter in voters and repeat is None:
+                repeat = ProfileError(f"duplicate voter_id {voter!r}", line)
+            voters.add(voter)
             cells = tuple(row[1:])
             chain = scanned.get(cells)
             if chain is None:
                 chain = scanned[cells] = _scan_ranking(cells, line)
-                first_line.setdefault(chain, line)
-            rows.append((line, voter, chain))
+                for cand in chain:
+                    if universe is not None and cand not in universe:
+                        unknown = unknown or ProfileError(f"unknown candidate {cand!r}", line)
+                    elif cand not in known:
+                        known.add(cand)
+                        try:
+                            _check_token(cand)
+                        except ValueError as exc:
+                            invalid = invalid or ProfileError(str(exc), line)
+            rows.append((voter, chain))
     if not rows:
         raise ProfileError("no ballots in file")
+    too_few = len(known) < 3 and ProfileError(f"fewer than 3 candidates overall (got {len(known)})")
+    for fault in (unknown, too_few, invalid, repeat):
+        if fault:
+            raise fault
 
-    if universe is not None:
-        for chain, line in first_line.items():
-            stray = [c for c in chain if c not in universe]
-            if stray:
-                raise ProfileError(f"unknown candidate {stray[0]!r}", line)
-    else:
-        universe = {c for chain in first_line for c in chain}
-    if len(universe) < 3:
-        raise ProfileError(f"fewer than 3 candidates overall (got {len(universe)})")
-
-    everyone = frozenset(universe)
+    everyone = frozenset(known)
     # One ballot per chain, and one object per ballot: a chain one short of
     # the universe and its completion normalize to the same ballot.
     built: dict[tuple[str, ...], RankedBallot] = {}
     shared: dict[RankedBallot, RankedBallot] = {}
-    for chain, line in first_line.items():
-        try:
-            ballot = RankedBallot(chain, everyone - set(chain))
-        except ValueError as exc:
-            # An invalid id in the derived universe fails every ballot, so
-            # blame the row that ranks it rather than this one.
-            _blame_invalid_id(first_line)
-            raise ProfileError(str(exc), line) from None
+    for chain in scanned.values():
+        ballot = _settled(chain, everyone - set(chain))
         built[chain] = shared.setdefault(ballot, ballot)
-    seen_voters: set[str] = set()
-    ballots: list[tuple[str, RankedBallot]] = []
-    for line, voter, chain in rows:
-        if voter in seen_voters:
-            raise ProfileError(f"duplicate voter_id {voter!r}", line)
-        seen_voters.add(voter)
-        ballots.append((voter, built[chain]))
-    return ElectionProfile(tuple(sorted(universe)), tuple(ballots))
+    ballots = tuple((voter, built[chain]) for voter, chain in rows)
+    return ElectionProfile(tuple(sorted(known)), ballots)
 
 
 @dataclass(frozen=True)
@@ -474,7 +461,7 @@ def find_truncation_sensitive_profile(
     :func:`fixture_path` is exactly the first hit for the defaults.
     Returns None when nothing in range diverges.
     """
-    cands = tuple(sorted(set(candidates)))
+    cands = tuple(sorted(set(_ids(candidates, "candidates"))))
     types = list(enumerate_ballots(cands))
     lengths = range(1, len(cands) + 1)
     for voters in range(1, max_voters + 1):

@@ -23,7 +23,7 @@ from .checks import (
     carry_or_evaluate,
     relation_claims,
 )
-from .order import RankedBallot, _exact_int, format_ballot, relation_of
+from .order import RankedBallot, _check_token, _exact_int, _ids, _settled, format_ballot, relation_of
 from .representation import (
     PairRecord,
     canonical_utility,
@@ -92,19 +92,20 @@ def enumerate_ballots(candidates: Iterable[str]) -> Iterator[RankedBallot]:
     lexicographic.  Length ``n - 1`` prefixes are skipped because a lone
     unranked candidate normalizes into the full ranking, which would
     repeat a length-``n`` ballot; each distinct relation therefore shows
-    up exactly once.
+    up exactly once.  The ids are checked once, in sorted order.
     """
-    cands = tuple(sorted(set(candidates)))
+    cands = tuple(sorted(set(_ids(candidates, "candidates"))))
     n = len(cands)
     if not 1 <= n <= MAX_ENUMERATION_CANDIDATES:
         raise ValueError(
             f"enumeration supports 1..{MAX_ENUMERATION_CANDIDATES} candidates, got {n}"
         )
+    everyone = frozenset(map(_check_token, cands))
     for k in range(1, n + 1):
         if n > 1 and k == n - 1:
             continue
         for prefix in permutations(cands, k):
-            yield RankedBallot(tuple(prefix), frozenset(cands) - set(prefix))
+            yield _settled(prefix, everyone - set(prefix))
 
 
 @dataclass

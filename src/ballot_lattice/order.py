@@ -126,11 +126,7 @@ class RankedBallot:
             raise ValueError(f"duplicate candidate in ranking: {list(ranked)}")
         if not unranked.isdisjoint(seen):
             raise ValueError(f"candidates both ranked and unranked: {sorted(seen & unranked)}")
-        if len(unranked) == 1:
-            ranked = ranked + (next(iter(unranked)),)
-            unranked = frozenset()
-        object.__setattr__(self, "ranked", ranked)
-        object.__setattr__(self, "unranked", unranked)
+        _settled(ranked, unranked, self)
 
     @property
     def candidates(self) -> frozenset[str]:
@@ -148,6 +144,22 @@ class RankedBallot:
     def is_total(self) -> bool:
         """True when every candidate is ranked."""
         return not self.unranked
+
+
+def _settled(ranked: tuple, unranked: frozenset, ballot=None) -> RankedBallot:
+    """``ballot``, or a new one, holding ids checked already; a lone unranked id is ranked last.
+
+    ``RankedBallot`` settles here after its checks, and bulk builders
+    whose ids were checked once on entry build their ballots here.
+    """
+    if ballot is None:
+        ballot = object.__new__(RankedBallot)
+    if len(unranked) == 1:
+        ranked += tuple(unranked)
+        unranked = frozenset()
+    object.__setattr__(ballot, "ranked", ranked)
+    object.__setattr__(ballot, "unranked", unranked)
+    return ballot
 
 
 def parse_ballot(text: str, candidates: Iterable[str] | None = None) -> RankedBallot:

@@ -15,9 +15,12 @@ import inspect
 import json
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from ballot_lattice import load_profile
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -57,3 +60,12 @@ def test_default_seed_pass_passes_its_checks_and_digest(workload, tmp_path):
     assert result.failures == []
     assert result.failed == 0
     assert result.digest() == bench.EXPECTED_DIGESTS[workload]
+
+
+def test_election_csv_load_checks_each_id_once(tmp_path, id_checks):
+    bench = perfbench_workloads()
+    run = bench.WORKLOADS["election"](bench.DEFAULT_SEED, tmp_path)
+    profile = load_profile(run.path)
+    assert len(profile.ballots) == 10_000
+    assert len(id_checks) == 10
+    assert Counter(id_checks) == Counter(profile.candidates)

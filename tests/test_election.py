@@ -33,7 +33,7 @@ from ballot_lattice import (
     truncate_ballot,
     truncation_experiment,
 )
-from ballot_lattice import checks, election, order
+from ballot_lattice import checks, election
 
 
 def ballot_over(universe, ranked):
@@ -74,6 +74,13 @@ class Unwalkable(tuple):
 
     def __iter__(self):
         raise AssertionError("profile.ballots was iterated")
+
+
+def assert_settled(ballots):
+    """Each ballot equals the checked construction from its own fields, and holds their types."""
+    for b in ballots:
+        assert type(b.ranked) is tuple and type(b.unranked) is frozenset
+        assert b == RankedBallot(b.ranked, b.unranked)
 
 
 def assert_matches_reference(profile):
@@ -413,20 +420,33 @@ class TestLoadSharesBallots:
         (_, first), (_, second) = load_profile(path).ballots
         assert first is second
 
-    def test_each_id_checked_once_per_distinct_chain(self, tmp_path, monkeypatch):
+    def test_each_id_checked_once_per_load(self, tmp_path, id_checks):
         path, chains = self.seeded_file(tmp_path)
-        calls = []
-        check = order._check_token
-
-        def counted_check(token):
-            calls.append(token)
-            return check(token)
-
-        monkeypatch.setattr(order, "_check_token", counted_check)
         profile = load_profile(path)
         assert len(profile.ballots) == 500
         assert len(chains) < 300
-        assert max(Counter(calls).values()) <= len(chains)
+        assert Counter(id_checks) == Counter(profile.candidates)
+
+    def test_explicit_universe_ids_checked_once(self, tmp_path, id_checks):
+        path, _ = self.seeded_file(tmp_path)
+        universe = [f"c{i}" for i in range(7)]
+        assert load_profile(path, candidates=universe).candidates == tuple(universe)
+        assert Counter(id_checks) == Counter(universe)
+
+    def test_built_ballots_equal_checked_construction(self, tmp_path):
+        path, _ = self.seeded_file(tmp_path)
+        assert_settled(b for _, b in load_profile(fixture_path()).ballots)
+        assert_settled(b for _, b in load_profile(path).ballots)
+        rng = random.Random(16)
+        loaded = 0
+        for _ in range(100):
+            text, universe = drawn_csv(rng)
+            path.write_text(text, encoding="utf-8")
+            outcome = load_outcome(load_profile, path, universe)
+            if isinstance(outcome, ElectionProfile):
+                assert_settled(b for _, b in outcome.ballots)
+                loaded += 1
+        assert loaded >= 20
 
     def test_profile_checks_each_ballot_object_once(self, monkeypatch):
         calls = []
@@ -613,6 +633,10 @@ class TestTruncation:
         ]
         assert found.candidates == bundled.candidates
         assert pair == (1, 2)
+
+    def test_search_refuses_a_bare_string(self):
+        with pytest.raises(ValueError, match=r"invalid candidates 'abc': expected a collection"):
+            find_truncation_sensitive_profile("abc")
 
     def test_report_to_dict_keys_by_length(self):
         profile = load_profile(fixture_path())

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,9 @@ from ballot_lattice import (
     CLAIM_REGISTRY,
     ClaimReport,
     INFORMATIONAL_CLAIMS,
+    MAX_ENUMERATION_CANDIDATES,
     MUST_CLAIMS,
+    RankedBallot,
     ballot_count,
     default_candidates,
     enumerate_ballots,
@@ -40,7 +45,7 @@ class TestCensus:
             assert stream == naive
 
     def test_order_is_prefix_length_then_lexicographic(self):
-        texts = [format_ballot(b) for b in enumerate_ballots("abc")]
+        texts = [format_ballot(b) for b in enumerate_ballots(("a", "b", "c"))]
         assert texts == [
             "a>b~c",
             "b>a~c",
@@ -69,6 +74,42 @@ class TestCensus:
             list(enumerate_ballots([f"c{i}" for i in range(8)]))
         with pytest.raises(ValueError, match="out of range"):
             default_candidates(0)
+
+    def test_bare_string_is_refused(self):
+        with pytest.raises(ValueError, match=r"invalid candidates 'alice': expected a collection"):
+            list(enumerate_ballots("alice"))
+
+    @pytest.mark.parametrize("n", range(1, MAX_ENUMERATION_CANDIDATES + 1))
+    def test_each_id_checked_once(self, n, id_checks):
+        assert len(list(enumerate_ballots(default_candidates(n)))) == ballot_count(n)
+        assert id_checks == list(default_candidates(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_ballots_equal_checked_construction(self, n):
+        for b in enumerate_ballots(default_candidates(n)):
+            assert type(b.ranked) is tuple and type(b.unranked) is frozenset
+            assert b == RankedBallot(b.ranked, b.unranked)
+
+    def test_invalid_id_blame_does_not_depend_on_the_hash_seed(self):
+        # The ids are checked in sorted order, not in the hash order of a set.
+        script = (
+            "from ballot_lattice import enumerate_ballots\n"
+            "list(enumerate_ballots(('a', 'b-1', 'c-2', 'd-3')))"
+        )
+        src = str(Path(enumeration.__file__).resolve().parents[1])
+        outcomes = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed)),
+            ).stderr.splitlines()[-1]
+            for seed in range(1, 7)
+        }
+        assert outcomes == {
+            "ValueError: invalid candidate id 'b-1': "
+            "expected a nonempty string of letters, digits or underscores"
+        }
 
     def test_ballot_count_validation(self):
         with pytest.raises(ValueError):
@@ -198,7 +239,7 @@ class TestCensusQuotient:
         summary = exhaustive_verify(3)
         t1 = summary.claim("T1")
         assert t1.fails == 9
-        census = [format_ballot(b) for b in enumerate_ballots("abc")]
+        census = [format_ballot(b) for b in enumerate_ballots(("a", "b", "c"))]
         assert evaluated == census
         assert [w["subject"] for w in t1.witnesses] == census
         assert not summary.ok and summary.must_failures == ["T1"]
