@@ -65,11 +65,11 @@ class ProfileError(ValueError):
 class ElectionProfile:
     """A finite election: candidate universe plus one ballot per voter.
 
-    One pass over ``ballots`` rejects duplicate voter ids, checks each
-    distinct ballot against the universe once, and groups the voters by
-    ballot equality: ``_voters``, which counts, truncations and reports
-    read, maps each distinct ballot in first-seen order to its voters.
-    Not a field, it leaves equality, hashing and ``repr`` alone.
+    The constructor's one pass over ``ballots`` rejects duplicate voter
+    ids, checks each distinct ballot against the universe once, and
+    groups the voters by ballot; :func:`load_profile` groups them as it
+    reads.  ``_voters`` maps each distinct ballot in first-seen order to
+    its voters; not a field, it leaves equality, hashing and ``repr`` alone.
     """
 
     candidates: tuple[str, ...]
@@ -100,9 +100,16 @@ class ElectionProfile:
                     )
                 group = groups[ballot] = []
             group.append(voter)
-        object.__setattr__(self, "candidates", cands)
-        object.__setattr__(self, "ballots", ballots)
-        object.__setattr__(self, "_voters", groups)
+        _counted(cands, ballots, groups, self)
+
+
+def _counted(candidates: tuple, ballots: tuple, groups: dict, profile=None) -> ElectionProfile:
+    """``profile``, or a new one, holding candidates, ballots and voter groups checked already."""
+    profile = object.__new__(ElectionProfile) if profile is None else profile
+    object.__setattr__(profile, "candidates", candidates)
+    object.__setattr__(profile, "ballots", ballots)
+    object.__setattr__(profile, "_voters", groups)
+    return profile
 
 
 def _validate_header(header: list[str]) -> None:
@@ -152,7 +159,8 @@ def load_profile(path, *, candidates: Iterable[str] | None = None) -> ElectionPr
 
     Each distinct row of rank cells is scanned once, and each candidate
     id is checked once, as it is first read.  Each distinct chain is built,
-    unchecked, into one :class:`RankedBallot` that all its voters share.
+    unchecked, into one :class:`RankedBallot` that all its voters share;
+    the load groups voters by ballot itself, not the profile's constructor.
     Errors keep the message, line and precedence of a per-voter load.
 
     Raises:
@@ -167,9 +175,9 @@ def load_profile(path, *, candidates: Iterable[str] | None = None) -> ElectionPr
         universe = {_check_token(c) for c in _ids(candidates, "candidates")}
     # Every id met so far: the explicit universe, or each id once it is read.
     known = set() if universe is None else set(universe)
-    rows: list[tuple[str, tuple[str, ...]]] = []
+    voters, chains = [], []
     scanned: dict[tuple[str, ...], tuple[str, ...]] = {}
-    voters: set[str] = set()
+    seen: set[str] = set()
     # The first unknown id, invalid id and repeated voter, raised once the file is read.
     unknown = invalid = repeat = None
     # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
@@ -191,9 +199,9 @@ def load_profile(path, *, candidates: Iterable[str] | None = None) -> ElectionPr
             voter = row[0].strip()
             if not voter:
                 raise ProfileError("missing voter_id", line)
-            if voter in voters and repeat is None:
+            if voter in seen and repeat is None:
                 repeat = ProfileError(f"duplicate voter_id {voter!r}", line)
-            voters.add(voter)
+            seen.add(voter)
             cells = tuple(row[1:])
             chain = scanned.get(cells)
             if chain is None:
@@ -207,8 +215,9 @@ def load_profile(path, *, candidates: Iterable[str] | None = None) -> ElectionPr
                             _check_token(cand)
                         except ValueError as exc:
                             invalid = invalid or ProfileError(str(exc), line)
-            rows.append((voter, chain))
-    if not rows:
+            voters.append(voter)
+            chains.append(chain)
+    if not voters:
         raise ProfileError("no ballots in file")
     too_few = len(known) < 3 and ProfileError(f"fewer than 3 candidates overall (got {len(known)})")
     for fault in (unknown, too_few, invalid, repeat):
@@ -216,15 +225,18 @@ def load_profile(path, *, candidates: Iterable[str] | None = None) -> ElectionPr
             raise fault
 
     everyone = frozenset(known)
-    # One ballot per chain, and one object per ballot: a chain one short of
-    # the universe and its completion normalize to the same ballot.
-    built: dict[tuple[str, ...], RankedBallot] = {}
-    shared: dict[RankedBallot, RankedBallot] = {}
+    # One ballot object and voter group per ballot, in file order: a chain one
+    # short of the universe and its completion share them.  Then each row's
+    # chain is swapped for its ballot, and its voter joins that ballot's group.
+    built: dict[tuple[str, ...], tuple[RankedBallot, list[str]]] = {}
+    shared: dict[RankedBallot, tuple[RankedBallot, list[str]]] = {}
     for chain in scanned.values():
         ballot = _settled(chain, everyone - set(chain))
-        built[chain] = shared.setdefault(ballot, ballot)
-    ballots = tuple((voter, built[chain]) for voter, chain in rows)
-    return ElectionProfile(tuple(sorted(known)), ballots)
+        built[chain] = shared.setdefault(ballot, (ballot, []))
+    for i, chain in enumerate(chains):
+        chains[i], group = built[chain]
+        group.append(voters[i])
+    return _counted(tuple(sorted(known)), tuple(zip(voters, chains)), dict(shared.values()))
 
 
 @dataclass(frozen=True)

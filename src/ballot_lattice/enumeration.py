@@ -86,13 +86,13 @@ def ballot_count(n: int) -> int:
 
 
 def enumerate_ballots(candidates: Iterable[str]) -> Iterator[RankedBallot]:
-    """Yield every distinct ballot on the candidate set.
+    """An iterator over every distinct ballot on the candidate set.
 
     Deterministic order: ranked-prefix length ascending, then
     lexicographic.  Length ``n - 1`` prefixes are skipped because a lone
     unranked candidate normalizes into the full ranking, which would
     repeat a length-``n`` ballot; each distinct relation therefore shows
-    up exactly once.  The ids are checked once, in sorted order.
+    up exactly once.  The ids are checked once, in sorted order, on call.
     """
     cands = tuple(sorted(set(_ids(candidates, "candidates"))))
     n = len(cands)
@@ -101,11 +101,11 @@ def enumerate_ballots(candidates: Iterable[str]) -> Iterator[RankedBallot]:
             f"enumeration supports 1..{MAX_ENUMERATION_CANDIDATES} candidates, got {n}"
         )
     everyone = frozenset(map(_check_token, cands))
-    for k in range(1, n + 1):
-        if n > 1 and k == n - 1:
-            continue
-        for prefix in permutations(cands, k):
-            yield _settled(prefix, everyone - set(prefix))
+    return (
+        _settled(prefix, everyone - set(prefix))
+        for k in range(1, n + 1) if k != n - 1
+        for prefix in permutations(cands, k)
+    )
 
 
 @dataclass

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from ballot_lattice import load_profile
+from ballot_lattice import ElectionProfile, RankedBallot, load_profile
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -69,3 +69,27 @@ def test_election_csv_load_checks_each_id_once(tmp_path, id_checks):
     assert len(profile.ballots) == 10_000
     assert len(id_checks) == 10
     assert Counter(id_checks) == Counter(profile.candidates)
+
+
+def test_election_csv_load_groups_voters_without_the_constructor(tmp_path, monkeypatch):
+    bench = perfbench_workloads()
+    run = bench.WORKLOADS["election"](bench.DEFAULT_SEED, tmp_path)
+    calls = Counter()
+    post_init, ballot_hash = ElectionProfile.__post_init__, RankedBallot.__hash__
+
+    def counted_post_init(self):
+        calls["post_init"] += 1
+        post_init(self)
+
+    def counted_hash(self):
+        calls["hash"] += 1
+        return ballot_hash(self)
+
+    monkeypatch.setattr(ElectionProfile, "__post_init__", counted_post_init)
+    monkeypatch.setattr(RankedBallot, "__hash__", counted_hash)
+    profile = load_profile(run.path)
+    distinct = run.facts()["distinct_ballots"]
+    assert len(profile._voters) == distinct == 3_618
+    assert calls["post_init"] == 0
+    # Once to share each distinct chain's ballot, once to key its voter group.
+    assert calls["hash"] <= 2 * distinct

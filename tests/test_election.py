@@ -83,6 +83,16 @@ def assert_settled(ballots):
         assert b == RankedBallot(b.ranked, b.unranked)
 
 
+def assert_equals_constructed(profile):
+    """A loaded profile equals the public constructor's, voter groups and their order included."""
+    rebuilt = ElectionProfile(profile.candidates, profile.ballots)
+    assert profile == rebuilt
+    assert list(profile._voters.items()) == list(rebuilt._voters.items())
+    ballot_of = dict(profile.ballots)
+    for ballot, voters in profile._voters.items():
+        assert all(ballot_of[voter] is ballot for voter in voters)
+
+
 def assert_matches_reference(profile):
     result = tabulate_irv(profile)
     ref_rounds, ref_winner = oracles.irv_reference(profile)
@@ -447,6 +457,41 @@ class TestLoadSharesBallots:
                 assert_settled(b for _, b in outcome.ballots)
                 loaded += 1
         assert loaded >= 20
+
+    def test_groups_equal_the_public_constructors(self, tmp_path):
+        path, _ = self.seeded_file(tmp_path)
+        assert_equals_constructed(load_profile(fixture_path()))
+        assert_equals_constructed(load_profile(path))
+        rng = random.Random(18)
+        loaded = 0
+        for _ in range(100):
+            text, universe = drawn_csv(rng)
+            path.write_text(text, encoding="utf-8")
+            outcome = load_outcome(load_profile, path, universe)
+            if isinstance(outcome, ElectionProfile):
+                assert_equals_constructed(outcome)
+                loaded += 1
+        assert loaded >= 20
+
+    def test_interleaved_merges_keep_file_order(self, tmp_path):
+        # A chain one short, its completion and a spaced copy of a row all
+        # join one group, between rows of another group.
+        rows = [
+            ("v1", ["a", "b", "c", ""]),
+            ("v2", ["b", "", "", ""]),
+            ("v3", ["a", "b", "c", "d"]),
+            ("v4", [" a ", "b", "c", ""]),
+            ("v5", ["b ", "", "", ""]),
+            ("v6", ["a", "b", "c", ""]),
+        ]
+        path = tmp_path / "profile.csv"
+        path.write_text(profile_csv(rows, 4), encoding="utf-8")
+        profile = load_profile(path)
+        assert [(format_ballot(b), v) for b, v in profile._voters.items()] == [
+            ("a>b>c>d", ["v1", "v3", "v4", "v6"]),
+            ("b>a~c~d", ["v2", "v5"]),
+        ]
+        assert_equals_constructed(profile)
 
     def test_profile_checks_each_ballot_object_once(self, monkeypatch):
         calls = []

@@ -79,6 +79,20 @@ class TestCensus:
         with pytest.raises(ValueError, match=r"invalid candidates 'alice': expected a collection"):
             list(enumerate_ballots("alice"))
 
+    def test_candidates_are_refused_when_called(self):
+        # No ``list(...)``: the refusal comes from the call, not the first ``next()``.
+        with pytest.raises(ValueError, match="expected a collection"):
+            enumerate_ballots("alice")
+        with pytest.raises(ValueError, match="1..7 candidates, got 9"):
+            enumerate_ballots([f"c{i}" for i in range(9)])
+        with pytest.raises(ValueError, match="invalid candidate id 'b-1'"):
+            enumerate_ballots(("a", "b-1", "c"))
+
+    def test_ids_are_checked_before_the_first_ballot(self, id_checks):
+        census = enumerate_ballots(default_candidates(4))
+        assert id_checks == list(default_candidates(4))
+        assert next(census) == RankedBallot(("a",), frozenset("bcd"))
+
     @pytest.mark.parametrize("n", range(1, MAX_ENUMERATION_CANDIDATES + 1))
     def test_each_id_checked_once(self, n, id_checks):
         assert len(list(enumerate_ballots(default_candidates(n)))) == ballot_count(n)
