@@ -11,7 +11,7 @@ exhausted.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations, combinations_with_replacement
@@ -272,14 +272,14 @@ def tabulate_irv(profile: ElectionProfile) -> TabulationResult:
     exhausted and stay out.  A candidate holding a strict majority of the
     live ballots wins; otherwise the lowest tally is eliminated, breaking
     ties by the previous round's tally and then by smallest id.  With a
-    single candidate left, that candidate wins.  The count is
-    :func:`_tabulate`'s walk over the profile's voters grouped by ballot.
+    single candidate left, that candidate wins.  The count is one
+    :func:`_tabulate` walk at depth None, on round one's piles uncopied.
     """
-    return _tabulate(profile)
+    return _tabulate(profile, [None])[0]
 
 
-def _tabulate(profile: ElectionProfile, depth: int | None = None) -> TabulationResult:
-    """The instant-runoff round loop over the profile's ballot groups, as a hand count.
+def _tabulate(profile: ElectionProfile, depths: list[int | None]) -> list[TabulationResult]:
+    """The instant-runoff count at each of the sorted ``depths``, as a hand count.
 
     Each ballot group is one entry, its chain weighted by its voters.  Every
     standing candidate keeps a pile of the entries counting for it, each
@@ -288,21 +288,38 @@ def _tabulate(profile: ElectionProfile, depth: int | None = None) -> TabulationR
     that round's tally.  Eliminating a candidate moves only its pile: each
     entry's cursor skips the eliminated candidates, and the entry joins
     the pile of the next standing candidate it ranks, or is exhausted once
-    the cursor reaches ``end``.  ``depth`` cuts every chain to its first
+    the cursor reaches ``end``.  A depth cuts every chain to its first
     ``depth`` links, which is how a truncated count exhausts; None counts
-    whole chains.
+    whole chains.  Round one is the same at every depth, so its piles are
+    filled once; each distinct depth's :func:`_rounds` walk takes a copy
+    (the last, the originals), and a repeated depth a copy of its result.
     """
+    chains = [ballot.ranked for ballot in profile._voters]
+    weights = list(map(len, profile._voters.values()))
+    lengths = list(map(len, chains))
     # Sorted, like the profile's candidates: eliminations only delete keys.
     piles: dict[str, list[int]] = {c: [] for c in profile.candidates}
     totals = dict.fromkeys(piles, 0)
-    chains = [ballot.ranked for ballot in profile._voters]
-    weights = list(map(len, profile._voters.values()))
-    ends = list(map(len, chains))
-    if depth is not None:
-        ends = [end if end < depth else depth for end in ends]
-    # Every chain starts in one pile, held by nobody, before its first link.
-    cursors = [-1] * len(chains)
-    moving: Iterable[int] = range(len(chains))
+    for i, chain in enumerate(chains):
+        piles[chain[0]].append(i)
+        totals[chain[0]] += weights[i]
+    results: list[TabulationResult] = []
+    for k, depth in enumerate(depths):
+        if k and depth == depths[k - 1]:
+            rounds = tuple(replace(r, tallies=dict(r.tallies)) for r in results[-1].rounds)
+            results.append(replace(results[-1], rounds=rounds))
+            continue
+        ends = lengths if depth is None else [end if end < depth else depth for end in lengths]
+        last = depth == depths[-1]
+        walk = (piles, totals) if last else ({c: p[:] for c, p in piles.items()}, dict(totals))
+        results.append(_rounds(len(profile.ballots), chains, weights, ends, *walk))
+    return results
+
+
+def _rounds(voters: int, chains: list, weights: list, ends: list, piles: dict, totals: dict):
+    """One count's rounds, from round one's ``piles`` and ``totals``, which it uses up."""
+    cursors = [0] * len(chains)
+    moving: Iterable[int] = ()
     exhausted = 0
     rounds: list[TabulationRound] = []
     prev_tallies: dict[str, int] = {}
@@ -319,7 +336,7 @@ def _tabulate(profile: ElectionProfile, depth: int | None = None) -> TabulationR
             else:
                 exhausted += weights[i]
         tallies = dict(totals)
-        live = len(profile.ballots) - exhausted
+        live = voters - exhausted
         leader = max(tallies, key=tallies.get)
         # With one candidate left, ``tallies`` has one key: the leader is the survivor.
         if len(tallies) == 1 or (live > 0 and 2 * tallies[leader] > live):
@@ -371,11 +388,11 @@ def truncation_experiment(
     """Re-tabulate the election at each ballot length and compare winners.
 
     Truncating a ballot to length L keeps the first L links of its ranked
-    chain, so each length is one :func:`_tabulate` walk over the profile's
-    ballot groups with depth L: a chain exhausts once its cursor passes
-    its first L links.  No ballot is rebuilt and no voter regrouped.  As
-    with :func:`truncate_ballot`, normalization makes lengths n - 1 and n
-    both keep the full chain.
+    chain, so length L is a count at depth L; as with
+    :func:`truncate_ballot`, lengths n - 1 and n both mean depth n.  One
+    :func:`_tabulate` call fills round one's piles once and walks each
+    distinct depth once; each length still gets a result of its own.  No
+    ballot is rebuilt and no voter regrouped.
     """
     wanted = sorted({_exact_int(v, "truncation length") for v in lengths})
     if not wanted:
@@ -384,10 +401,8 @@ def truncation_experiment(
     for length in wanted:
         if not 1 <= length <= n:
             raise ValueError(f"truncation length {length} outside 1..{n}")
-    results = {
-        length: _tabulate(profile, length if length < n - 1 else n)
-        for length in wanted
-    }
+    depths = [length if length < n - 1 else n for length in wanted]
+    results = dict(zip(wanted, _tabulate(profile, depths)))
     divergence = tuple(
         (a, b)
         for a, b in combinations(wanted, 2)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from ballot_lattice import ElectionProfile, RankedBallot, load_profile
+from ballot_lattice import ElectionProfile, RankedBallot, election, load_profile, truncation_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -93,3 +93,27 @@ def test_election_csv_load_groups_voters_without_the_constructor(tmp_path, monke
     assert calls["post_init"] == 0
     # Once to share each distinct chain's ballot, once to key its voter group.
     assert calls["hash"] <= 2 * distinct
+
+
+def test_election_truncation_counts_round_one_once(tmp_path, monkeypatch):
+    bench = perfbench_workloads()
+    run = bench.WORKLOADS["election"](bench.DEFAULT_SEED, tmp_path)
+    profile = load_profile(run.path)
+    counts, walks = [], []
+    tabulate, rounds = election._tabulate, election._rounds
+
+    def counted_tabulate(profile, depths):
+        counts.append(list(depths))
+        return tabulate(profile, depths)
+
+    def counted_rounds(voters, chains, weights, ends, piles, totals):
+        walks.append(max(ends))
+        return rounds(voters, chains, weights, ends, piles, totals)
+
+    monkeypatch.setattr(election, "_tabulate", counted_tabulate)
+    monkeypatch.setattr(election, "_rounds", counted_rounds)
+    report = truncation_experiment(profile, range(1, 11))
+    assert sorted(report.results) == list(range(1, 11))
+    # Round one's piles are filled by the one count; lengths 9 and 10 share depth 10.
+    assert counts == [[1, 2, 3, 4, 5, 6, 7, 8, 10, 10]]
+    assert walks == [1, 2, 3, 4, 5, 6, 7, 8, 10]

@@ -834,6 +834,34 @@ class TestPileWalk:
         )
 
 
+class TestSharedRoundOne:
+    """Every depth walks from one shared round one; no depth may see another's state."""
+
+    @given(st.one_of(pooled_profiles(), drawn_profiles()))
+    def test_each_length_alone_equals_the_batch(self, profile):
+        n = len(profile.candidates)
+        batch = truncation_experiment(profile, range(1, n + 1))
+        for length in range(1, n + 1):
+            alone = truncation_experiment(profile, [length])
+            assert alone.results[length].to_dict() == batch.results[length].to_dict()
+        assert tabulate_irv(profile).to_dict() == batch.results[n].to_dict()
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_lengths_sharing_a_walk_share_no_mutable_object(self, n):
+        for profile in truncation_profiles(n):
+            report = truncation_experiment(profile, range(1, n + 1))
+            short, full = report.results[n - 1], report.results[n]
+            assert short == full and short is not full
+            for a, b in zip(short.rounds, full.rounds):
+                assert a.tallies is not b.tallies
+            plain = tabulate_irv(profile).to_dict()
+            assert full.to_dict() == plain
+            for r in short.rounds:
+                r.tallies.clear()
+            assert full.to_dict() == plain
+            assert tabulate_irv(profile).to_dict() == plain
+
+
 # ---------------------------------------------------------------------------
 # report
 
