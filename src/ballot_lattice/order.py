@@ -11,7 +11,9 @@ the definition: every predicate reads it or what is derived from it.
 That keeps every classifier falsifiable on hand-built relations, at the
 cost of a size cap (``MAX_RELATION_CANDIDATES``).  Each relation derives,
 once on construction, the sets of candidates strictly above and strictly
-below each candidate; joins, meets and covers read those sets.
+below each candidate; joins, meets and covers read those sets.  Once on
+first use, it also derives its first transitivity gap, its table of joins
+and its set of covers, and every classifier and claim reads those.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
     "MAX_RELATION_CANDIDATES",
@@ -239,8 +242,9 @@ class OrderRelation:
     axiom is imposed at construction; the ``is_*`` predicates classify
     instances.  ``_above[c]`` and ``_below[c]`` are the candidates
     :meth:`strictly` above and below ``c``, derived from ``pairs`` on
-    construction; they are not fields, so equality, hashing and the dump
-    format see ``candidates`` and ``pairs`` only.
+    construction; ``_gap``, ``_joins`` and ``_covers`` are derived on first
+    use.  None of them is a field, so equality, hashing, ``repr`` and the
+    dump format see ``candidates`` and ``pairs`` only.
     """
 
     candidates: tuple[str, ...]
@@ -274,6 +278,41 @@ class OrderRelation:
         object.__setattr__(self, "_above", {c: frozenset(s) for c, s in above.items()})
         object.__setattr__(self, "_below", {c: frozenset(s) for c, s in below.items()})
 
+    @cached_property
+    def _gap(self) -> tuple[str, str, str] | None:
+        """:func:`transitivity_gap`: at the first ``x >= y`` in label order where
+        ``down[y] - down[x]`` is not empty, its least member completes the gap."""
+        down: dict[str, set[str]] = {c: set() for c in self.candidates}
+        for x, y in self.pairs:
+            down[x].add(y)
+        for x in self.candidates:
+            for y in self.candidates:
+                if y in down[x] and (missing := down[y] - down[x]):
+                    return (x, y, min(missing))
+        return None
+
+    @cached_property
+    def _joins(self) -> dict[tuple[str, str], str | None]:
+        """Every :func:`join`, keyed by the ordered pair."""
+        up = {c: self._above[c] | {c} for c in self.candidates}
+        table = {}
+        for i, x in enumerate(self.candidates):
+            for y in self.candidates[i:]:
+                ups = up[x] & up[y]
+                least = [u for u in ups if ups <= up[u]]
+                table[x, y] = table[y, x] = least[0] if len(least) == 1 else None
+        return table
+
+    @cached_property
+    def _covers(self) -> frozenset[CoverPair]:
+        """:func:`covers`: each strict pair with nothing strictly between."""
+        return frozenset(
+            CoverPair(x, y)
+            for x in self.candidates
+            for y in self._below[x]
+            if not self._below[x] & self._above[y]
+        )
+
     def holds(self, x: str, y: str) -> bool:
         """True when ``x`` is weakly above ``y``."""
         return (x, y) in self.pairs
@@ -294,7 +333,15 @@ class OrderRelation:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "OrderRelation":
+    def from_dict(cls, payload: Mapping) -> "OrderRelation":
+        """The relation a :meth:`to_dict` dump describes; a malformed payload is a ``ValueError``."""
+        if not isinstance(payload, Mapping):
+            raise ValueError(f"invalid relation payload {payload!r}: expected a mapping")
+        for key in ("candidates", "pairs"):
+            if key not in payload:
+                raise ValueError(f"invalid relation payload: no {key!r}")
+            if not isinstance(payload[key], Iterable):
+                raise ValueError(f"invalid {key} {payload[key]!r}: expected a collection")
         return cls(payload["candidates"], payload["pairs"])
 
     def digest(self) -> str:
@@ -322,14 +369,8 @@ def relation_of(ballot: RankedBallot) -> OrderRelation:
 
 
 def transitivity_gap(r: OrderRelation) -> tuple[str, str, str] | None:
-    """First triple ``(x, y, z)`` with ``x >= y >= z`` but not ``x >= z``."""
-    for x in r.candidates:
-        for y in r.candidates:
-            if r.holds(x, y):
-                for z in r.candidates:
-                    if r.holds(y, z) and not r.holds(x, z):
-                        return (x, y, z)
-    return None
+    """First triple ``(x, y, z)`` in label order with ``x >= y >= z`` but not ``x >= z``."""
+    return r._gap
 
 
 def _first_pair(cands: Sequence[str], test: Callable[[str, str], bool]) -> list[str] | None:
@@ -414,13 +455,11 @@ def join(r: OrderRelation, x: str, y: str) -> str | None:
     bound sits at or strictly above.
 
     For a ballot relation this always exists: the higher of a comparable
-    pair, or the lowest-ranked candidate above a tied pair.
+    pair, or the lowest-ranked candidate above a tied pair.  Read from the join table.
     """
     _require_candidate(r, x)
     _require_candidate(r, y)
-    ups = (r._above[x] | {x}) & (r._above[y] | {y})
-    least = [u for u in ups if ups <= r._above[u] | {u}]
-    return least[0] if len(least) == 1 else None
+    return r._joins[x, y]
 
 
 def meet(r: OrderRelation, x: str, y: str) -> str | None:
@@ -445,13 +484,8 @@ class CoverPair:
 
 
 def covers(r: OrderRelation) -> frozenset[CoverPair]:
-    """All covering pairs, i.e. the Hasse diagram edges."""
-    return frozenset(
-        CoverPair(x, y)
-        for x in r.candidates
-        for y in r._below[x]
-        if not r._below[x] & r._above[y]
-    )
+    """All covering pairs, i.e. the Hasse diagram edges, derived once per relation."""
+    return r._covers
 
 
 def join_irreducibles(r: OrderRelation) -> frozenset[str]:

@@ -2,7 +2,8 @@
 
 Everything here re-derives results straight from definitions, without the
 shortcuts the production code takes: bound properties are verified by
-full scans, the census is built by generate-and-dedup, the disjunction
+full scans, transitivity and modularity (T1 and P1) by the cubic walks
+over all triples, the census is built by generate-and-dedup, the disjunction
 search enumerates all 2^pairs subsets without pruning (or, past that
 walk's reach, all 2^sources sets of unranked sources), the
 instant-runoff reference recounts every round from scratch, and the
@@ -14,7 +15,15 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from pathlib import Path
 
-from ballot_lattice.checks import CLAIM_REGISTRY, FAILS, HOLDS, VACUOUS, relation_claims
+from ballot_lattice.checks import (
+    CLAIM_REGISTRY,
+    FAILS,
+    HOLDS,
+    VACUOUS,
+    ClaimReport,
+    check_remark1,
+    relation_claims,
+)
 from ballot_lattice.election import ElectionProfile, ProfileError, _csv_rows, _validate_header
 from ballot_lattice.enumeration import (
     SUBRECORD_SWEEP_MAX_N,
@@ -49,21 +58,30 @@ def _above(rel: OrderRelation, u: str, v: str) -> bool:
     return u == v or rel.strictly(u, v)
 
 
+def _is_lub(rel: OrderRelation, x: str, y: str, u: str) -> bool:
+    if not (_above(rel, u, x) and _above(rel, u, y)):
+        return False
+    return all(
+        _above(rel, v, u)
+        for v in rel.candidates
+        if _above(rel, v, x) and _above(rel, v, y)
+    )
+
+
 def is_least_upper_bound(rel: OrderRelation, x: str, y: str, candidate: str | None) -> bool:
     """Verify a claimed join (or claimed absence) against the definition."""
-
-    def lub(u: str) -> bool:
-        if not (_above(rel, u, x) and _above(rel, u, y)):
-            return False
-        return all(
-            _above(rel, v, u)
-            for v in rel.candidates
-            if _above(rel, v, x) and _above(rel, v, y)
-        )
-
     if candidate is None:
-        return not any(lub(u) for u in rel.candidates)
-    return lub(candidate)
+        return not any(_is_lub(rel, x, y, u) for u in rel.candidates)
+    return _is_lub(rel, x, y, candidate)
+
+
+def naive_join(rel: OrderRelation, x: str, y: str) -> str | None:
+    """The join by definition: the candidate that is a least upper bound, if any.
+
+    Strict preference is asymmetric, so two least upper bounds would each
+    sit above the other; there is at most one.
+    """
+    return next((u for u in rel.candidates if _is_lub(rel, x, y, u)), None)
 
 
 def is_greatest_lower_bound(rel: OrderRelation, x: str, y: str, candidate: str | None) -> bool:
@@ -81,6 +99,64 @@ def is_greatest_lower_bound(rel: OrderRelation, x: str, y: str, candidate: str |
     if candidate is None:
         return not any(glb(u) for u in rel.candidates)
     return glb(candidate)
+
+
+def naive_transitivity_gap(rel: OrderRelation) -> tuple[str, str, str] | None:
+    """First ``(x, y, z)`` with ``x >= y >= z`` but not ``x >= z``, by the walk over all triples."""
+    for x in rel.candidates:
+        for y in rel.candidates:
+            if rel.holds(x, y):
+                for z in rel.candidates:
+                    if rel.holds(y, z) and not rel.holds(x, z):
+                        return (x, y, z)
+    return None
+
+
+def naive_modularity_failure(rel: OrderRelation) -> dict | None:
+    """P1's first failing triple by the walk over all triples of definitional joins."""
+    joins = {(x, y): naive_join(rel, x, y) for x in rel.candidates for y in rel.candidates}
+
+    def tied_or_equal(u: str, v: str) -> bool:
+        return u == v or rel.indifferent(u, v)
+
+    for x in rel.candidates:
+        for y in rel.candidates:
+            xy = joins[(x, y)]
+            if xy is None or not tied_or_equal(x, xy):
+                continue
+            for z in rel.candidates:
+                left = joins[(x, z)]
+                right = joins[(xy, z)]
+                if left is None or right is None:
+                    return {"kind": "missing_join", "triple": [x, y, z]}
+                if not tied_or_equal(left, right):
+                    return {
+                        "kind": "not_modular", "triple": [x, y, z], "left": left, "right": right
+                    }
+    return None
+
+
+def naive_relation_claims(rel: OrderRelation, subject: str) -> list[ClaimReport]:
+    """T1 and P1 by the walks over all triples and definitional joins, then R1 as checked.
+
+    T1 fails with the first transitivity gap, else with the first pair in
+    label order that has no join.
+    """
+    gap = naive_transitivity_gap(rel)
+    if gap is not None:
+        t1 = {"kind": "not_transitive", "triple": list(gap)}
+    else:
+        pair = next(
+            ([x, y] for x, y in combinations(rel.candidates, 2) if naive_join(rel, x, y) is None),
+            None,
+        )
+        t1 = pair and {"kind": "missing_join", "pair": pair}
+    p1 = naive_modularity_failure(rel)
+    return [
+        ClaimReport.of("T1", subject, t1 is None, t1),
+        ClaimReport.of("P1", subject, p1 is None, p1),
+        *check_remark1(rel, subject),
+    ]
 
 
 def naive_covers(rel: OrderRelation) -> set[tuple[str, str]]:

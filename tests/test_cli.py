@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 import ballot_lattice
 from ballot_lattice import cli, fixture_path, load_profile, profile_report
 from ballot_lattice.cli import main
+from ballot_lattice.order import OrderRelation
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +67,23 @@ class TestAnalyze:
         verdicts = {c["claim"]: c["verdict"] for c in payload["claims"]}
         assert verdicts["T1"] == "holds" and verdicts["P1"] == "holds"
         assert verdicts["R1.1"] == "fails"
+
+    def test_derives_each_table_once(self, capsys, monkeypatch):
+        # every flag and claim reads the relation's one gap, join table and cover set
+        counts = Counter()
+        for name in ("_gap", "_joins", "_covers"):
+            derived = vars(OrderRelation)[name]
+
+            def counting(r, name=name, derive=derived.func):
+                counts[name] += 1
+                return derive(r)
+
+            monkeypatch.setattr(derived, "func", counting)
+        code, _, _ = run_cli(
+            capsys, "analyze", "--ballot", "f>c>k>a>h>b~d~e~g~i~j~l", "--format", "json"
+        )
+        assert code == 0
+        assert counts == {"_gap": 1, "_joins": 1, "_covers": 1}
 
     def test_text_report(self, capsys):
         code, out, err = run_cli(capsys, "analyze", "--ballot", "x>y>z>a~b~c~d")

@@ -1,7 +1,9 @@
+import copy
+import pickle
 import string
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from ballot_lattice import (
@@ -26,8 +28,10 @@ from ballot_lattice import (
     meet,
     meet_irreducibles,
     parse_ballot,
+    relation_claims,
     relation_of,
 )
+from ballot_lattice.order import transitivity_gap
 
 
 ID_CHARS = string.ascii_letters + string.digits + "_"
@@ -277,6 +281,22 @@ class TestClassifiers:
         with pytest.raises(ValueError, match=r"invalid pair .*2-element"):
             OrderRelation(("a", "b"), frozenset({pair if isinstance(pair, str) else tuple(pair)}))
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (["a", "b"], r"invalid relation payload \['a', 'b'\]: expected a mapping"),
+            ({"pairs": []}, r"invalid relation payload: no 'candidates'"),
+            ({"candidates": ["a"]}, r"invalid relation payload: no 'pairs'"),
+            ({"candidates": None, "pairs": []}, r"invalid candidates None: expected a collection"),
+            ({"candidates": ["a"], "pairs": None}, r"invalid pairs None: expected a collection"),
+            ({"candidates": ["a"], "pairs": 3}, r"invalid pairs 3: expected a collection"),
+        ],
+        ids=["list", "no-candidates", "no-pairs", "null-candidates", "null-pairs", "int-pairs"],
+    )
+    def test_malformed_payloads_are_named(self, payload, message):
+        with pytest.raises(ValueError, match=message):
+            OrderRelation.from_dict(payload)
+
     def test_bare_string_candidates_are_refused(self):
         with pytest.raises(ValueError, match=r"invalid candidates 'abc': expected a collection"):
             OrderRelation("abc", frozenset())
@@ -306,8 +326,16 @@ def hand_built_relations(draw, max_n=6):
     return OrderRelation.from_dict({"candidates": names, "pairs": chosen})
 
 
+CYCLE = OrderRelation(("a", "b", "c"), frozenset({("a", "b"), ("b", "c"), ("c", "a")}))
+TIED_GAP = OrderRelation(
+    ("a", "b", "c", "d"), frozenset({("a", "b"), ("b", "a"), ("b", "c"), ("c", "d")})
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(hand_built_relations())
+@example(CYCLE)
+@example(TIED_GAP)
 def test_hand_built_relations_match_the_oracles(r):
     assert OrderRelation.from_dict(r.to_dict()) == r
     for x in r.candidates:
@@ -315,6 +343,35 @@ def test_hand_built_relations_match_the_oracles(r):
             assert oracles.is_least_upper_bound(r, x, y, join(r, x, y))
             assert oracles.is_greatest_lower_bound(r, x, y, meet(r, x, y))
     assert {(c.upper, c.lower) for c in covers(r)} == oracles.naive_covers(r)
+    assert transitivity_gap(r) == oracles.naive_transitivity_gap(r)
+    assert relation_claims(r, "r") == oracles.naive_relation_claims(r, "r")
+
+
+CLASSIFIERS = [
+    is_partial_order, is_weak_order, is_top_truncated, is_complete, is_total, transitivity_gap,
+    covers, join_irreducibles, meet_irreducibles, atoms, coatoms, relation_claims,
+]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: OrderRelation.from_dict(CYCLE.to_dict()),
+        lambda: OrderRelation.from_dict(TIED_GAP.to_dict()),
+        lambda: relation_of(parse_ballot("x>y>z>a~b~c~d")),
+    ],
+    ids=["cycle", "tied-gap", "ballot"],
+)
+def test_derived_tables_are_invisible(build):
+    r, fresh = build(), build()
+    for classify in CLASSIFIERS:
+        classify(r)
+    assert {"_gap", "_joins", "_covers"} <= vars(r).keys()
+    assert r == fresh and hash(r) == hash(fresh) and repr(r) == repr(fresh)
+    assert r.to_dict() == fresh.to_dict() and r.digest() == fresh.digest()
+    for twin in (copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+        assert twin == fresh
+        assert relation_claims(twin) == relation_claims(fresh)
 
 
 class TestJoinMeet:
