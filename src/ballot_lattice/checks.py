@@ -15,6 +15,7 @@ from .order import (
     OrderRelation,
     RankedBallot,
     _first_pair,
+    _slots,
     _strictly_incomparable,
     atoms,
     coatoms,
@@ -119,7 +120,7 @@ def carry_or_evaluate(
     Each ballot of a shape without a plan is evaluated directly.
     """
     shape = (len(ballot.ranked), len(ballot.unranked))
-    slots = ballot.ranked + tuple(sorted(ballot.unranked))
+    slots = _slots(ballot)
     plan, extra = sources.get(shape, (None, None))
     if plan is None:
         reports, extra = evaluate(ballot, subject)
@@ -137,9 +138,8 @@ def carry_or_evaluate(
 def _shape_plan(slots: tuple[str, ...], reports: list[ClaimReport]) -> list[tuple] | None:
     """How ``reports``, made on the ballot with ``slots``, read on any ballot of its shape.
 
-    A ballot's slots are its ranked chain, then its unranked candidates in
-    sorted order.  Mapping slot i of one ballot to slot i of another of the
-    same shape is an isomorphism of their relations, so verdicts carry
+    Mapping slot i (``order._slots``) of one ballot to slot i of another of
+    the same shape is an isomorphism of their relations, so verdicts carry
     over unchanged, and a witness carries once each of its candidates is
     stored as a slot index: its ``elements`` set, or R1.2's
     ``not_totally_ordered`` pair, is mapped and sorted.  That pair is the

@@ -28,7 +28,7 @@ from .enumeration import (
     exhaustive_verify,
 )
 from .order import (
-    _check_token,
+    _candidate_ids,
     covers,
     atoms,
     coatoms,
@@ -81,12 +81,12 @@ def _check_n(n: int) -> int:
     return n
 
 
-def _universe(args) -> list[str] | None:
+def _universe(args) -> tuple[str, ...] | None:
     """The ``--candidates`` universe, validated before any input is read."""
     if args.candidates is None:
         return None
     try:
-        return [_check_token(piece.strip()) for piece in args.candidates.split(",")]
+        return _candidate_ids(piece.strip() for piece in args.candidates.split(","))
     except ValueError as exc:
         raise ValueError(f"--candidates: {exc}") from None
 

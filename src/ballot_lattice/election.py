@@ -24,9 +24,9 @@ from .enumeration import enumerate_ballots
 from .order import (
     MAX_RELATION_CANDIDATES,
     RankedBallot,
+    _candidate_ids,
     _check_token,
     _exact_int,
-    _ids,
     _settled,
     format_ballot,
     is_complete,
@@ -76,7 +76,7 @@ class ElectionProfile:
     ballots: tuple[tuple[str, RankedBallot], ...]
 
     def __post_init__(self):
-        cands = tuple(sorted(set(_ids(self.candidates, "candidates"))))
+        cands = _candidate_ids(self.candidates)
         if len(cands) < 3:
             raise ValueError(
                 f"an election needs at least three candidates, got {len(cands)}"
@@ -170,9 +170,7 @@ def load_profile(path, *, candidates: Iterable[str] | None = None) -> ElectionPr
             duplicate voter ids, candidates outside the supplied universe,
             or fewer than three candidates overall.
     """
-    universe = None
-    if candidates is not None:
-        universe = {_check_token(c) for c in _ids(candidates, "candidates")}
+    universe = None if candidates is None else set(_candidate_ids(candidates))
     # Every id met so far: the explicit universe, or each id once it is read.
     known = set() if universe is None else set(universe)
     voters, chains = [], []
@@ -488,7 +486,7 @@ def find_truncation_sensitive_profile(
     :func:`fixture_path` is exactly the first hit for the defaults.
     Returns None when nothing in range diverges.
     """
-    cands = tuple(sorted(set(_ids(candidates, "candidates"))))
+    cands = _candidate_ids(candidates)
     types = list(enumerate_ballots(cands))
     lengths = range(1, len(cands) + 1)
     for voters in range(1, max_voters + 1):

@@ -8,6 +8,7 @@ the structural claims are machine-checked instead of trusted.
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,7 +24,7 @@ from .checks import (
     carry_or_evaluate,
     relation_claims,
 )
-from .order import RankedBallot, _check_token, _exact_int, _ids, _settled, format_ballot, relation_of
+from .order import RankedBallot, _candidate_ids, _exact_int, _settled, _slots, format_ballot, relation_of
 from .representation import (
     PairRecord,
     canonical_utility,
@@ -72,17 +73,7 @@ def ballot_count(n: int) -> int:
     n = _exact_int(n, "candidate count")
     if n < 1:
         raise ValueError("need at least one candidate")
-    if n == 1:
-        return 1
-    total = 0
-    for k in range(1, n + 1):
-        if k == n - 1:
-            continue
-        perms = 1
-        for j in range(k):
-            perms *= n - j
-        total += perms
-    return total
+    return sum(math.perm(n, k) for k in range(1, n + 1) if k != n - 1)
 
 
 def enumerate_ballots(candidates: Iterable[str]) -> Iterator[RankedBallot]:
@@ -94,13 +85,13 @@ def enumerate_ballots(candidates: Iterable[str]) -> Iterator[RankedBallot]:
     repeat a length-``n`` ballot; each distinct relation therefore shows
     up exactly once.  The ids are checked once, in sorted order, on call.
     """
-    cands = tuple(sorted(set(_ids(candidates, "candidates"))))
+    cands = _candidate_ids(candidates)
     n = len(cands)
     if not 1 <= n <= MAX_ENUMERATION_CANDIDATES:
         raise ValueError(
             f"enumeration supports 1..{MAX_ENUMERATION_CANDIDATES} candidates, got {n}"
         )
-    everyone = frozenset(map(_check_token, cands))
+    everyone = frozenset(cands)
     return (
         _settled(prefix, everyone - set(prefix))
         for k in range(1, n + 1) if k != n - 1
@@ -179,13 +170,8 @@ def _witness_issues(ballot: RankedBallot, record: PairRecord) -> tuple[list, str
     """Check the spatial witness; returns (issues, rationalizability class)."""
     witness = concave_witness(ballot)
     issues = []
-    k = len(ballot.ranked)
-    for i, c in enumerate(ballot.ranked):
-        expected = -Fraction(i * i)
-        if witness.utility(c) != expected:
-            issues.append({"candidate": c, "got": str(witness.utility(c)), "want": str(expected)})
-    for c in ballot.unranked:
-        expected = -Fraction(k * k)
+    for i, c in enumerate(_slots(ballot)):
+        expected = -Fraction(min(i, len(ballot.ranked)) ** 2)
         if witness.utility(c) != expected:
             issues.append({"candidate": c, "got": str(witness.utility(c)), "want": str(expected)})
     cls = rationalizability_class(witness.utilities(), record)

@@ -14,6 +14,8 @@ once on construction, the sets of candidates strictly above and strictly
 below each candidate; joins, meets and covers read those sets.  Once on
 first use, it also derives its first transitivity gap, its table of joins
 and its set of covers, and every classifier and claim reads those.
+Every collection of candidate ids is read by ``_candidate_ids``, and every
+slot order (the ranked chain, then the sorted unranked tail) is ``_slots``.
 """
 
 from __future__ import annotations
@@ -97,6 +99,16 @@ def _ids(values, what: str):
     return values
 
 
+def _candidate_ids(values, what: str = "candidates") -> tuple[str, ...]:
+    """The sorted distinct ids in ``values``; a bare string is refused.
+
+    Each id is checked before any is hashed or sorted, in ``repr`` order (label
+    order for valid ids), so an invalid id is named alike under every hash seed.
+    """
+    by_repr = {repr(v): v for v in _ids(values, what)}
+    return tuple([_check_token(by_repr[r]) for r in sorted(by_repr)])
+
+
 def _exact_int(value, what: str) -> int:
     """``value`` as an exact integer; bools, floats and strings are refused."""
     if not isinstance(value, bool):
@@ -121,7 +133,7 @@ class RankedBallot:
 
     def __post_init__(self):
         ranked = tuple(map(_check_token, _ids(self.ranked, "ranked")))
-        unranked = frozenset(map(_check_token, _ids(self.unranked, "unranked")))
+        unranked = frozenset(_candidate_ids(self.unranked, "unranked"))
         if not ranked:
             raise ValueError("a ballot must rank at least one candidate")
         seen = set(ranked)
@@ -178,9 +190,7 @@ def parse_ballot(text: str, candidates: Iterable[str] | None = None) -> RankedBa
         GrammarError: malformed text, with a 1-based column offset.
         ValueError: an invalid candidate universe, or a bare string for it.
     """
-    universe = None
-    if candidates is not None:
-        universe = frozenset(_check_token(c) for c in _ids(candidates, "candidates"))
+    universe = None if candidates is None else frozenset(_candidate_ids(candidates))
 
     groups: list[tuple[int, list[tuple[int, str]]]] = []
     column = 1
@@ -225,6 +235,12 @@ def parse_ballot(text: str, candidates: Iterable[str] | None = None) -> RankedBa
     return RankedBallot(tuple(ranked), frozenset(unranked))
 
 
+def _slots(ballot: RankedBallot) -> tuple[str, ...]:
+    """The ranked chain, then the sorted unranked tail: slot i to slot i maps a
+    ballot's relation onto that of any ballot of its shape (ranked, unranked count)."""
+    return ballot.ranked + tuple(sorted(ballot.unranked))
+
+
 def format_ballot(ballot: RankedBallot) -> str:
     """Canonical text for a ballot; inverse of :func:`parse_ballot`."""
     text = ">".join(ballot.ranked)
@@ -251,7 +267,7 @@ class OrderRelation:
     pairs: frozenset[tuple[str, str]]
 
     def __post_init__(self):
-        cands = tuple(sorted({_check_token(c) for c in _ids(self.candidates, "candidates")}))
+        cands = _candidate_ids(self.candidates)
         if not cands:
             raise ValueError("a relation needs at least one candidate")
         if len(cands) > MAX_RELATION_CANDIDATES:

@@ -1,7 +1,11 @@
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ballot_lattice
 from ballot_lattice import parse_ballot, relation_of
 from ballot_lattice.order import _check_token
 
@@ -45,3 +49,30 @@ def id_checks(monkeypatch):
         if name.startswith("ballot_lattice") and getattr(module, "_check_token", None) is _check_token:
             monkeypatch.setattr(module, "_check_token", counting)
     return calls
+
+
+@pytest.fixture
+def child_env():
+    """The environment for a child interpreter that imports this same package."""
+    paths = [str(Path(ballot_lattice.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+
+
+@pytest.fixture
+def stderr_by_hash_seed(child_env):
+    """Run a Python snippet once under each ``PYTHONHASHSEED`` 1..6; the set of last stderr lines."""
+
+    def run(snippet: str) -> set[str]:
+        return {
+            subprocess.run(
+                [sys.executable, "-c", snippet],
+                capture_output=True,
+                text=True,
+                env=dict(child_env, PYTHONHASHSEED=str(seed)),
+            ).stderr.splitlines()[-1]
+            for seed in range(1, 7)
+        }
+
+    return run

@@ -6,11 +6,9 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
-import ballot_lattice
 from ballot_lattice import cli, fixture_path, load_profile, profile_report
 from ballot_lattice.cli import main
 from ballot_lattice.order import OrderRelation
@@ -20,14 +18,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def child_env(**overrides):
-    """The environment for a child interpreter that imports this same package."""
-    paths = [str(Path(ballot_lattice.__file__).resolve().parents[1])]
-    if os.environ.get("PYTHONPATH"):
-        paths.append(os.environ["PYTHONPATH"])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths), **overrides)
 
 
 def seeded_election_csv(voters=2000, seed=13):
@@ -311,7 +301,9 @@ class TestTabulate:
         assert code == 1 and err.count("\n") == 1
         assert err.startswith("error: --candidates: invalid candidate id 'd-e'")
 
-    def test_invalid_id_blame_does_not_depend_on_the_hash_seed(self, tmp_path):
+    def test_invalid_id_blame_does_not_depend_on_the_hash_seed(
+        self, tmp_path, capsys, stderr_by_hash_seed
+    ):
         # Every ballot's unranked set holds all three invalid ids; the row
         # that ranks the first of them is blamed whatever the set order.
         path = tmp_path / "bad.csv"
@@ -319,19 +311,17 @@ class TestTabulate:
             "voter_id,rank1,rank2\nv1,a,b\nv2,b,a\nv3,c-1,a\nv4,d-2,b\nv5,e-3,a\n",
             encoding="utf-8",
         )
-        outcomes = {
-            subprocess.run(
-                [sys.executable, "-m", "ballot_lattice", "tabulate", "--input", str(path)],
-                capture_output=True,
-                text=True,
-                env=child_env(PYTHONHASHSEED=str(seed)),
-            ).stderr
-            for seed in range(1, 7)
-        }
-        assert outcomes == {
+        blame = (
             "error: profile csv: line 4: invalid candidate id 'c-1': "
-            "expected a nonempty string of letters, digits or underscores\n"
-        }
+            "expected a nonempty string of letters, digits or underscores"
+        )
+        code, _, err = run_cli(capsys, "tabulate", "--input", str(path))
+        assert code == 1 and err == blame + "\n"
+        script = (
+            "from ballot_lattice.cli import main\n"
+            f"raise SystemExit(main(['tabulate', '--input', {str(path)!r}]))"
+        )
+        assert stderr_by_hash_seed(script) == {blame}
 
     def test_cell_over_the_csv_field_limit_is_one_error_line(self, capsys, tmp_path):
         path = tmp_path / "wide.csv"
@@ -606,14 +596,14 @@ class TestHarness:
         assert code == 141
         assert capsys.readouterr().err == ""
 
-    def test_reader_closing_the_pipe_early_is_silent(self):
+    def test_reader_closing_the_pipe_early_is_silent(self, child_env):
         # About 200 kB of JSON, more than a pipe buffers, so the writer is
         # still writing when the reader goes away.
         with subprocess.Popen(
             [sys.executable, "-m", "ballot_lattice", "enumerate", "--n", "7", "--format", "json"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=child_env(),
+            env=child_env,
         ) as proc:
             assert proc.stdout.read(16).startswith(b"{")
             proc.stdout.close()
@@ -621,7 +611,7 @@ class TestHarness:
             assert proc.wait(timeout=60) == 141
         assert err == b""
 
-    def test_only_concavity_sampling_imports_numpy(self):
+    def test_only_concavity_sampling_imports_numpy(self, child_env):
         fixture = str(fixture_path())
         script = f"""
 import contextlib, io, sys
@@ -643,17 +633,17 @@ with contextlib.redirect_stdout(io.StringIO()):
 assert "numpy" in sys.modules
 """
         proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
+            [sys.executable, "-c", script], capture_output=True, text=True, env=child_env
         )
         assert (proc.returncode, proc.stderr) == (0, "")
 
-    def test_module_entry_point(self):
+    def test_module_entry_point(self, child_env):
         proc = subprocess.run(
             [sys.executable, "-m", "ballot_lattice", "analyze", "--ballot", "p>q>r",
              "--format", "json"],
             capture_output=True,
             text=True,
-            env=child_env(),
+            env=child_env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["classification"]["is_total"] is True

@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +25,9 @@ from ballot_lattice import (
 
 
 class TestCensus:
-    # 9, 40, 205, 1236: closed form cross-checked against generate-and-dedup
+    # 9, 40, 205, 1236, 8659: closed form cross-checked against generate-and-dedup
     @pytest.mark.parametrize(
-        "n,expected", [(1, 1), (2, 2), (3, 9), (4, 40), (5, 205), (6, 1236)]
+        "n,expected", [(1, 1), (2, 2), (3, 9), (4, 40), (5, 205), (6, 1236), (7, 8659)]
     )
     def test_counts(self, n, expected):
         assert ballot_count(n) == expected
@@ -104,26 +101,24 @@ class TestCensus:
             assert type(b.ranked) is tuple and type(b.unranked) is frozenset
             assert b == RankedBallot(b.ranked, b.unranked)
 
-    def test_invalid_id_blame_does_not_depend_on_the_hash_seed(self):
+    def test_invalid_id_blame_does_not_depend_on_the_hash_seed(self, stderr_by_hash_seed):
         # The ids are checked in sorted order, not in the hash order of a set.
-        script = (
-            "from ballot_lattice import enumerate_ballots\n"
-            "list(enumerate_ballots(('a', 'b-1', 'c-2', 'd-3')))"
+        calls = [
+            "enumerate_ballots(('a', 'b-1', 'c-2', 'd-3'))",
+            "enumerate_ballots({'a', 'b-1', 'c-2', 'd-3'})",
+            "ElectionProfile({'a', 'b-1', 'c-2', 'd-3'}, [])",
+            "load_profile(fixture_path(), candidates={'a', 'b-1', 'c-2', 'd-3'})",
+            "RankedBallot(('a',), {'b-1', 'c-2', 'd-3'})",
+        ]
+        imports = (
+            "from ballot_lattice import "
+            "ElectionProfile, RankedBallot, enumerate_ballots, fixture_path, load_profile\n"
         )
-        src = str(Path(enumeration.__file__).resolve().parents[1])
-        outcomes = {
-            subprocess.run(
-                [sys.executable, "-c", script],
-                capture_output=True,
-                text=True,
-                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed)),
-            ).stderr.splitlines()[-1]
-            for seed in range(1, 7)
-        }
-        assert outcomes == {
-            "ValueError: invalid candidate id 'b-1': "
-            "expected a nonempty string of letters, digits or underscores"
-        }
+        for call in calls:
+            assert stderr_by_hash_seed(imports + call) == {
+                "ValueError: invalid candidate id 'b-1': "
+                "expected a nonempty string of letters, digits or underscores"
+            }, call
 
     def test_ballot_count_validation(self):
         with pytest.raises(ValueError):
@@ -206,6 +201,24 @@ class TestExhaustiveVerify:
         summary = exhaustive_verify(1)
         assert summary.claim("R1.4").fails == 1
         assert not summary.ok and summary.must_failures == ["R1.4"]
+
+    def test_t4_issues_follow_the_slot_order(self, stderr_by_hash_seed):
+        # With every point shifted, every utility is wrong; the issues list
+        # the ranked chain, then the sorted tail, under every hash seed.
+        script = (
+            "from ballot_lattice import enumeration, parse_ballot\n"
+            "from ballot_lattice.representation import SpatialWitness\n"
+            "real = enumeration.concave_witness\n"
+            "def shifted(ballot):\n"
+            "    w = real(ballot)\n"
+            "    points = {c: tuple(v + 1 for v in p) for c, p in w.points.items()}\n"
+            "    return SpatialWitness(w.dimension, w.peak, points)\n"
+            "enumeration.concave_witness = shifted\n"
+            "reports, _ = enumeration._claim_block(parse_ballot('a>b~c~d~e~f~g'), 's')\n"
+            "issues = next(r for r in reports if r.claim == 'T4').witness['issues']\n"
+            "raise SystemExit(' '.join(i['candidate'] for i in issues if 'candidate' in i))"
+        )
+        assert stderr_by_hash_seed(script) == {"a b c d e f g"}
 
     def test_relation_built_at_most_four_times_per_ballot(self, relation_builds):
         # The sub-record sweep builds the ballot's record once, so relation

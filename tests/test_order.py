@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 import string
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from ballot_lattice import (
     CoverPair,
+    ElectionProfile,
     GrammarError,
     OrderRelation,
     RankedBallot,
@@ -15,6 +17,8 @@ from ballot_lattice import (
     coatoms,
     covers,
     enumerate_ballots,
+    find_truncation_sensitive_profile,
+    fixture_path,
     format_ballot,
     greatest_element,
     is_complete,
@@ -25,6 +29,7 @@ from ballot_lattice import (
     join,
     join_irreducibles,
     least_element,
+    load_profile,
     meet,
     meet_irreducibles,
     parse_ballot,
@@ -490,3 +495,20 @@ class TestIrreducibles:
     def test_cover_pair_fields(self):
         pair = CoverPair("hi", "lo")
         assert (pair.upper, pair.lower) == ("hi", "lo")
+
+
+CANDIDATE_LIST_READERS = {
+    "OrderRelation": lambda ids: OrderRelation(ids, []),
+    "parse_ballot": lambda ids: parse_ballot("a>b", ids),
+    "load_profile": lambda ids: load_profile(fixture_path(), candidates=ids),
+    "ElectionProfile": lambda ids: ElectionProfile(ids, []),
+    "enumerate_ballots": enumerate_ballots,
+    "find_truncation_sensitive_profile": find_truncation_sensitive_profile,
+}
+
+
+@pytest.mark.parametrize("bad", [1, ["c"], "d-e"], ids=["non_string", "unhashable", "malformed"])
+@pytest.mark.parametrize("read", CANDIDATE_LIST_READERS.values(), ids=CANDIDATE_LIST_READERS)
+def test_every_candidate_list_reader_names_an_invalid_id(read, bad):
+    with pytest.raises(ValueError, match=re.escape(f"invalid candidate id {bad!r}")):
+        read(["a", "b", bad])
