@@ -1,15 +1,16 @@
-"""Structural claim checkers producing witness-carrying reports.
+"""Claim checkers producing witness-carrying reports.
 
-Each checker returns a :class:`ClaimReport` rather than a bare boolean so
-that a failing verdict always points at a concrete pair, triple or
-element set that can be replayed against the base predicates in
-:mod:`ballot_lattice.order`.
+Every claim code is decided here: T1, P1 and R1.* on a relation
+(:func:`relation_claims`), and all twelve on a census ballot
+(``_claim_block``).  Each checker returns a :class:`ClaimReport` rather
+than a bare boolean so that a failing verdict always points at a concrete
+witness that can be replayed against the base predicates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 from .order import (
     OrderRelation,
@@ -22,7 +23,20 @@ from .order import (
     join,  # not called here; perfbench's selftest checks its tracer restores ``checks.join``
     join_irreducibles,
     meet_irreducibles,
+    relation_of,
     transitivity_gap,
+)
+from .representation import (
+    PairRecord,
+    _disjunction,
+    canonical_utility,
+    concave_witness,
+    is_representation,
+    is_submodular,
+    pair_record,
+    rationalizability_class,
+    subrecord_verdicts,
+    verify_concavity,
 )
 
 __all__ = [
@@ -33,6 +47,7 @@ __all__ = [
     "CLAIM_DESCRIPTIONS",
     "MUST_CLAIMS",
     "INFORMATIONAL_CLAIMS",
+    "SUBRECORD_SWEEP_MAX_N",
     "ClaimReport",
     "is_join_semilattice",
     "is_modular",
@@ -66,6 +81,11 @@ CLAIM_REGISTRY = {
 CLAIM_DESCRIPTIONS = {code: text for code, (text, _) in CLAIM_REGISTRY.items()}
 MUST_CLAIMS = frozenset(code for code, (_, must) in CLAIM_REGISTRY.items() if must)
 INFORMATIONAL_CLAIMS = frozenset(CLAIM_REGISTRY) - MUST_CLAIMS
+
+#: A sub-record sweep costs 2^(pair count), once per ballot shape (ranked
+#: count, unranked count); past this candidate count the record-disjunction
+#: claims are skipped.
+SUBRECORD_SWEEP_MAX_N = 4
 
 
 @dataclass(frozen=True)
@@ -130,8 +150,12 @@ def carry_or_evaluate(
         if plan is None:
             return [report.to_dict() for report in reports], extra
     return [
-        {"claim": claim, "subject": subject, "verdict": verdict, "witness": build and build(slots)}
-        for claim, verdict, build in plan
+        {"claim": claim, "subject": subject, "verdict": verdict, "witness": witness and {
+            **witness,
+            **{k: list(witness[k]) for k in lists},
+            key: sorted([slots[i] for i in positions]),
+        }}
+        for claim, verdict, witness, key, positions, lists in plan
     ], extra
 
 
@@ -149,41 +173,27 @@ def _shape_plan(slots: tuple[str, ...], reports: list[ClaimReport]) -> list[tupl
     label order on every ballot, so the mapped pair is again the first.
     Any other witness (a T1 or P1 pair or triple, or a witness without a
     ``kind``, such as RAT's classes, T3's records or T4's issues) is either
-    chosen by label order or not known here, so there is no plan (None) and
-    every ballot of the shape is evaluated directly.
+    chosen by label order or not mapped by slot, so there is no plan (None)
+    and every ballot of the shape is evaluated directly.
 
-    Each entry is ``(claim, verdict, build)``: ``build(slots)`` makes the
-    witness for the ballot with those slots, or is None for no witness.
+    Each entry is ``(claim, verdict, witness, key, positions, lists)``: a
+    carried witness's ``key`` list reads the slots at ``positions``, and its
+    other list fields ``lists`` are copied.
     """
     index = {c: i for i, c in enumerate(slots)}
     plan = []
     for report in reports:
         witness = report.witness
-        build = None
+        key, positions, lists = None, (), ()
         if witness is not None:
             kind = witness.get("kind") if isinstance(witness, dict) else None
             key = "pair" if kind == "not_totally_ordered" else "elements"
             if kind is None or key not in witness:
                 return None
-            build = _carried(witness, key, index)
-        plan.append((report.claim, report.verdict, build))
+            positions = tuple(index[c] for c in witness[key])
+            lists = tuple(k for k, v in witness.items() if isinstance(v, list) and k != key)
+        plan.append((report.claim, report.verdict, witness, key, positions, lists))
     return plan
-
-
-def _carried(witness: dict, key: str, index: Mapping[str, int]) -> Callable:
-    """Fresh copies of ``witness`` on demand, its ``key`` candidates read from given slots."""
-    positions = [index[c] for c in witness[key]]
-    lists = [k for k, v in witness.items() if isinstance(v, list) and k != key]
-
-    def build(slots: tuple[str, ...]) -> dict:
-        mapped = [slots[i] for i in positions]
-        mapped.sort()
-        carried = {**witness, key: mapped}
-        for k in lists:
-            carried[k] = list(carried[k])
-        return carried
-
-    return build
 
 
 def _join_failure(r: OrderRelation) -> dict | None:
@@ -277,3 +287,58 @@ def relation_claims(r: OrderRelation, subject: str | None = None) -> list[ClaimR
     """Claims T1, P1 and R1.1 through R1.4 on one relation, in that order."""
     subject = subject or r.digest()
     return [is_join_semilattice(r, subject), is_modular(r, subject), *check_remark1(r, subject)]
+
+
+def _witness_issues(ballot: RankedBallot, record: PairRecord) -> tuple[list, str]:
+    """Check the spatial witness; returns (issues, rationalizability class)."""
+    witness = concave_witness(ballot)
+    utilities = witness.utilities()
+    k = len(ballot.ranked)
+    issues = []
+    for i, c in enumerate(_slots(ballot)):
+        got, want = utilities[c], -min(i, k) ** 2
+        if got != want:
+            issues.append({"candidate": c, "got": str(got), "want": str(want)})
+    cls = rationalizability_class(utilities, record)
+    report = verify_concavity(witness)
+    if not report.ok:
+        issues.append({"concavity": report.witness})
+    return issues, cls
+
+
+def _claim_block(ballot: RankedBallot, subject: str) -> tuple[list[ClaimReport], None]:
+    """Every claim's report on one census ballot, in registry order, evaluated directly.
+
+    ``T3.full`` is decided on the full record, as ``theorem3 --full`` does,
+    and the first five failing sub-records that are not all-unranked are
+    ``T3.sub``'s witnesses.
+    """
+    rel = relation_of(ballot)
+    reports = relation_claims(rel, subject)
+
+    util = canonical_utility(ballot)
+    reports.append(ClaimReport.of("C1.repr", subject, is_representation(util, rel)))
+    reports.append(ClaimReport.of("C1.submod", subject, is_submodular(util, rel)))
+
+    record = pair_record(ballot)
+    expected_class = "strict" if ballot.is_total() else "almost_strict"
+    got_class = rationalizability_class(util, record)
+    rat = {"expected": expected_class, "got": got_class}
+    reports.append(ClaimReport.of("RAT", subject, got_class == expected_class, rat))
+
+    if len(rel.candidates) <= SUBRECORD_SWEEP_MAX_N and record.pairs:
+        full = _disjunction(ballot, record.pairs)
+        violations = []
+        for chosen, verdict in subrecord_verdicts(ballot):
+            if len(violations) < 5 and not verdict.ok and not verdict.all_unranked:
+                violations.append([list(p) for p in chosen])
+        reports.append(ClaimReport.of("T3.full", subject, full.ok, full.to_dict()))
+        reports.append(ClaimReport.of("T3.sub", subject, not violations, violations))
+    else:
+        reports.append(ClaimReport("T3.full", subject, VACUOUS))
+        reports.append(ClaimReport("T3.sub", subject, VACUOUS))
+
+    issues, got_class = _witness_issues(ballot, record)
+    t4 = {"issues": issues, "class": got_class, "expected": expected_class}
+    reports.append(ClaimReport.of("T4", subject, not issues and got_class == expected_class, t4))
+    return reports, None

@@ -123,12 +123,17 @@ def _validate_header(header: list[str]) -> None:
 
 
 def _csv_rows(handle) -> Iterator[list[str]]:
-    """The rows of a CSV file; ``csv.Error``, not a ValueError, is raised as a ProfileError."""
+    """The rows of a CSV file; ``csv.Error`` and a decode error are raised as a ProfileError.
+
+    A decode error has no line: the decoder reads ahead in chunks.
+    """
     reader = csv.reader(handle)
     try:
         yield from reader
     except csv.Error as exc:
         raise ProfileError(str(exc), reader.line_num) from None
+    except UnicodeDecodeError as exc:
+        raise ProfileError(str(exc)) from None
 
 
 def _scan_ranking(cells: tuple[str, ...], line: int) -> tuple[str, ...]:
@@ -166,9 +171,9 @@ def load_profile(path, *, candidates: Iterable[str] | None = None) -> ElectionPr
     Raises:
         ValueError: an invalid ``candidates`` id, or a bare string for it,
             before the file is read.
-        ProfileError: malformed header or row, an invalid candidate id,
-            duplicate voter ids, candidates outside the supplied universe,
-            or fewer than three candidates overall.
+        ProfileError: text that is not UTF-8, a malformed header or row, an
+            invalid candidate id, duplicate voter ids, candidates outside the
+            supplied universe, or fewer than three candidates overall.
     """
     universe = None if candidates is None else set(_candidate_ids(candidates))
     # Every id met so far: the explicit universe, or each id once it is read.

@@ -2,8 +2,9 @@
 
 Small candidate sets admit a complete census: every distinct way to rank
 a nonempty subset of the field and leave the rest tied.  The sweep runs
-every claim checker over the census and aggregates witnessed verdicts, so
-the structural claims are machine-checked instead of trusted.
+the claim block of :mod:`ballot_lattice.checks` over the census and
+aggregates its witnessed verdicts by claim code, so the structural claims
+are machine-checked instead of trusted.
 """
 
 from __future__ import annotations
@@ -11,35 +12,14 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Iterator
 
-from .checks import (
-    CLAIM_REGISTRY,
-    FAILS,
-    HOLDS,
-    VACUOUS,
-    ClaimReport,
-    carry_or_evaluate,
-    relation_claims,
-)
-from .order import RankedBallot, _candidate_ids, _exact_int, _settled, _slots, format_ballot, relation_of
-from .representation import (
-    PairRecord,
-    canonical_utility,
-    concave_witness,
-    is_representation,
-    is_submodular,
-    pair_record,
-    rationalizability_class,
-    subrecord_verdicts,
-    verify_concavity,
-)
+from .checks import CLAIM_REGISTRY, FAILS, HOLDS, VACUOUS, _claim_block, carry_or_evaluate
+from .order import RankedBallot, _candidate_ids, _exact_int, _settled, format_ballot
 
 __all__ = [
     "MAX_ENUMERATION_CANDIDATES",
-    "SUBRECORD_SWEEP_MAX_N",
     "default_candidates",
     "ballot_count",
     "enumerate_ballots",
@@ -49,11 +29,6 @@ __all__ = [
 ]
 
 MAX_ENUMERATION_CANDIDATES = 7
-
-#: A sub-record sweep costs 2^(pair count), once per ballot shape (ranked
-#: count, unranked count); past this candidate count the record-disjunction
-#: claims are skipped.
-SUBRECORD_SWEEP_MAX_N = 4
 
 
 def default_candidates(n: int) -> tuple[str, ...]:
@@ -166,72 +141,22 @@ class VerificationSummary:
         }
 
 
-def _witness_issues(ballot: RankedBallot, record: PairRecord) -> tuple[list, str]:
-    """Check the spatial witness; returns (issues, rationalizability class)."""
-    witness = concave_witness(ballot)
-    issues = []
-    for i, c in enumerate(_slots(ballot)):
-        expected = -Fraction(min(i, len(ballot.ranked)) ** 2)
-        if witness.utility(c) != expected:
-            issues.append({"candidate": c, "got": str(witness.utility(c)), "want": str(expected)})
-    cls = rationalizability_class(witness.utilities(), record)
-    report = verify_concavity(witness)
-    if not report.ok:
-        issues.append({"concavity": report.witness})
-    return issues, cls
-
-
-def _claim_block(ballot: RankedBallot, subject: str) -> tuple[list[ClaimReport], None]:
-    """Every claim's report on one census ballot, evaluated directly."""
-    rel = relation_of(ballot)
-    reports = relation_claims(rel, subject)
-
-    util = canonical_utility(ballot)
-    reports.append(ClaimReport.of("C1.repr", subject, is_representation(util, rel)))
-    reports.append(ClaimReport.of("C1.submod", subject, is_submodular(util, rel)))
-
-    record = pair_record(ballot)
-    expected_class = "strict" if ballot.is_total() else "almost_strict"
-    got_class = rationalizability_class(util, record)
-    rat = {"expected": expected_class, "got": got_class}
-    reports.append(ClaimReport.of("RAT", subject, got_class == expected_class, rat))
-
-    if len(rel.candidates) <= SUBRECORD_SWEEP_MAX_N and record.pairs:
-        violations = []
-        for chosen, verdict in subrecord_verdicts(ballot):
-            if len(violations) < 5 and not verdict.ok and not verdict.all_unranked:
-                violations.append([list(p) for p in chosen])
-        # Sub-records come smallest first, so the last verdict is the
-        # full record's.
-        reports.append(ClaimReport.of("T3.full", subject, verdict.ok, verdict.to_dict()))
-        reports.append(ClaimReport.of("T3.sub", subject, not violations, violations))
-    else:
-        reports.append(ClaimReport("T3.full", subject, VACUOUS))
-        reports.append(ClaimReport("T3.sub", subject, VACUOUS))
-
-    issues, got_class = _witness_issues(ballot, record)
-    t4 = {"issues": issues, "class": got_class, "expected": expected_class}
-    reports.append(ClaimReport.of("T4", subject, not issues and got_class == expected_class, t4))
-    return reports, None
-
-
 def exhaustive_verify(n: int) -> VerificationSummary:
     """Run every claim over the full ballot census on ``n`` candidates.
 
-    Every claim is a property of a ballot's relation up to relabeling, so
-    each shape (ranked count, unranked count) is checked once, on its first
-    census ballot, and every ballot of the shape reads its report rows from
-    that shape's positional plan
+    The claims are decided by the claim block of
+    :mod:`ballot_lattice.checks`.  Every claim is a property of a ballot's
+    relation up to relabeling, so each shape (ranked count, unranked count)
+    is checked once, on its first census ballot, and every ballot of the
+    shape reads its report rows from that shape's positional plan
     (:func:`~ballot_lattice.checks.carry_or_evaluate`); the ballots of a
     shape whose witnesses cannot be carried are each checked directly.
     T4's concavity sampling therefore runs once per shape.
 
-    The record-disjunction claims (``T3.*``) cost up to ``2^pairs`` per
-    checked ballot, so they run only for ``n <= SUBRECORD_SWEEP_MAX_N`` and
-    are vacuous above it.  Both come from one pass over
-    :func:`subrecord_verdicts`: its last verdict is the full record's
-    (``T3.full``), and the first five failing sub-records that are not
-    all-unranked are ``T3.sub``'s witnesses.
+    The record-disjunction claims (``T3.*``) run only for
+    ``n <= checks.SUBRECORD_SWEEP_MAX_N`` and are vacuous above it:
+    ``T3.full`` is decided on the full record, and ``T3.sub`` walks its
+    ``2^pairs`` sub-records.
     A summary is returned rather than raising, so callers decide how hard
     to fail; ``summary.ok`` is False exactly when a must-hold claim
     failed somewhere.

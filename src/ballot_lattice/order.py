@@ -59,8 +59,9 @@ __all__ = [
 
 _TOKEN = re.compile(r"[A-Za-z0-9_]+\Z")
 
-# Pair tables are quadratic in the candidate count, and transitivity and
-# modularity (P1) are cubic; T3 is polynomial.  The one exponential walk
+# Pair tables are quadratic in the candidate count, transitivity is cubic
+# and the join table at most quartic; modularity (P1) reads the join table
+# in quadratic time, and T3 is polynomial.  The one exponential walk
 # left, the sub-record sweep, has its own cap
 # (``representation.ALL_SUBSETS_CAP``), so this cap bounds polynomial work.
 MAX_RELATION_CANDIDATES = 12
@@ -164,8 +165,8 @@ class RankedBallot:
 def _settled(ranked: tuple, unranked: frozenset, ballot=None) -> RankedBallot:
     """``ballot``, or a new one, holding ids checked already; a lone unranked id is ranked last.
 
-    ``RankedBallot`` settles here after its checks, and bulk builders
-    whose ids were checked once on entry build their ballots here.
+    ``RankedBallot`` settles here after its checks, and the parser and the
+    bulk builders, whose ids were checked once on entry, build their ballots here.
     """
     if ballot is None:
         ballot = object.__new__(RankedBallot)
@@ -184,7 +185,7 @@ def parse_ballot(text: str, candidates: Iterable[str] | None = None) -> RankedBa
     group of unranked candidates, which may only appear as the final
     group.  When a ``candidates`` universe is supplied, ids missing from
     the text become unranked; otherwise the universe is exactly the ids
-    mentioned.
+    mentioned.  Each id is checked once, by the grammar or with the universe.
 
     Raises:
         GrammarError: malformed text, with a 1-based column offset.
@@ -232,7 +233,7 @@ def parse_ballot(text: str, candidates: Iterable[str] | None = None) -> RankedBa
         unranked = set()
     if universe is not None:
         unranked |= universe - set(ranked) - unranked
-    return RankedBallot(tuple(ranked), frozenset(unranked))
+    return _settled(tuple(ranked), frozenset(unranked))
 
 
 def _slots(ballot: RankedBallot) -> tuple[str, ...]:
@@ -414,7 +415,7 @@ def is_partial_order(r: OrderRelation) -> bool:
     be asymmetric, and ties are exactly what :func:`is_weak_order`
     relaxes.  Reflexivity holds by construction.
     """
-    return transitivity_gap(r) is None and _first_pair(r.candidates, r.indifferent) is None
+    return is_weak_order(r) and is_total(r)
 
 
 def is_weak_order(r: OrderRelation) -> bool:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Any, Iterable, Iterator, Mapping
 
-from .order import OrderRelation, RankedBallot, _pair, join, meet, relation_of
+from .order import OrderRelation, RankedBallot, _pair, _slots, join, meet, relation_of
 
 __all__ = [
     "ALL_SUBSETS_CAP",
@@ -389,7 +389,7 @@ def concave_witness(ballot: RankedBallot) -> SpatialWitness:
         coords[0] = Fraction(i)
         points[c] = tuple(coords)
     radius = Fraction(k)
-    tail = sorted(ballot.unranked)
+    tail = _slots(ballot)[k:]
     if m == 2:
         for c, sign in zip(tail, (1, -1)):
             coords = [zero] * dim

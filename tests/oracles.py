@@ -19,17 +19,17 @@ from ballot_lattice.checks import (
     CLAIM_REGISTRY,
     FAILS,
     HOLDS,
+    SUBRECORD_SWEEP_MAX_N,
     VACUOUS,
     ClaimReport,
+    _witness_issues,
     check_remark1,
     relation_claims,
 )
 from ballot_lattice.election import ElectionProfile, ProfileError, _csv_rows, _validate_header
 from ballot_lattice.enumeration import (
-    SUBRECORD_SWEEP_MAX_N,
     ClaimStats,
     VerificationSummary,
-    _witness_issues,
     default_candidates,
     enumerate_ballots,
 )

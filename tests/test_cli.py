@@ -105,6 +105,12 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "--ballot", "x", "--candidates", "x,,y")
         assert code == 1 and err.startswith("error:")
 
+    def test_candidates_checked_once_per_boundary(self, capsys, id_checks):
+        # --candidates, the parser's universe and the relation: three checks of each id
+        code, _, _ = run_cli(capsys, "analyze", "--ballot", "a>b", "--candidates", "a,b,c,d")
+        assert code == 0
+        assert Counter(id_checks) == Counter("abcd" * 3)
+
 
 class TestVerify:
     def test_n3_text(self, capsys):

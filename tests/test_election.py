@@ -33,7 +33,7 @@ from ballot_lattice import (
     truncate_ballot,
     truncation_experiment,
 )
-from ballot_lattice import checks, election
+from ballot_lattice import checks, cli, election
 
 
 def ballot_over(universe, ranked):
@@ -263,6 +263,17 @@ class TestLoadProfile:
         )
         with pytest.raises(ProfileError, match="line 3.*field larger"):
             load_profile(path)
+
+    def test_text_that_is_not_utf8(self, tmp_path, capsys):
+        # The decoder reads ahead in chunks, so the error names no line.
+        path = tmp_path / "profile.csv"
+        path.write_bytes(b"voter_id,rank1\n\xff,a\n")
+        with pytest.raises(ProfileError, match="^profile csv: 'utf-8' codec can't decode") as info:
+            load_profile(path)
+        assert info.value.line is None
+        assert cli.main(["tabulate", "--input", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [f"error: {info.value}"]
 
 
 def profile_csv(rows, width):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ballot_lattice import enumeration, representation
+from ballot_lattice import checks, representation
 from ballot_lattice import (
     CLAIM_REGISTRY,
     ClaimReport,
@@ -141,6 +141,18 @@ class TestCensus:
 
 
 class TestExhaustiveVerify:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_reports_follow_the_registry_order(self, n):
+        # The census aggregates rows by code, so only this pins the block's order.
+        firsts = {}
+        for ballot in enumerate_ballots(default_candidates(n)):
+            firsts.setdefault((len(ballot.ranked), len(ballot.unranked)), ballot)
+        for ballot in firsts.values():
+            reports, _ = checks._claim_block(ballot, "s")
+            assert [r.claim for r in reports] == list(CLAIM_REGISTRY)
+            relation = checks.relation_claims(relation_of(ballot), "s")
+            assert [r.claim for r in relation] == list(CLAIM_REGISTRY)[:6]
+
     def test_n3_summary(self):
         summary = exhaustive_verify(3)
         assert summary.ok
@@ -206,15 +218,15 @@ class TestExhaustiveVerify:
         # With every point shifted, every utility is wrong; the issues list
         # the ranked chain, then the sorted tail, under every hash seed.
         script = (
-            "from ballot_lattice import enumeration, parse_ballot\n"
+            "from ballot_lattice import checks, parse_ballot\n"
             "from ballot_lattice.representation import SpatialWitness\n"
-            "real = enumeration.concave_witness\n"
+            "real = checks.concave_witness\n"
             "def shifted(ballot):\n"
             "    w = real(ballot)\n"
             "    points = {c: tuple(v + 1 for v in p) for c, p in w.points.items()}\n"
             "    return SpatialWitness(w.dimension, w.peak, points)\n"
-            "enumeration.concave_witness = shifted\n"
-            "reports, _ = enumeration._claim_block(parse_ballot('a>b~c~d~e~f~g'), 's')\n"
+            "checks.concave_witness = shifted\n"
+            "reports, _ = checks._claim_block(parse_ballot('a>b~c~d~e~f~g'), 's')\n"
             "issues = next(r for r in reports if r.claim == 'T4').witness['issues']\n"
             "raise SystemExit(' '.join(i['candidate'] for i in issues if 'candidate' in i))"
         )
@@ -252,7 +264,7 @@ class TestCensusQuotient:
         # A T1 pair witness is chosen by label order, so it cannot be
         # carried; each ballot is then checked on its own and reports its
         # own pair.
-        real = enumeration.relation_claims
+        real = checks.relation_claims
         evaluated = []
 
         def failing_t1(rel, subject):
@@ -262,7 +274,7 @@ class TestCensusQuotient:
             reports[0] = ClaimReport("T1", subject, "fails", {"kind": "missing_join", "pair": pair})
             return reports
 
-        monkeypatch.setattr(enumeration, "relation_claims", failing_t1)
+        monkeypatch.setattr(checks, "relation_claims", failing_t1)
         summary = exhaustive_verify(3)
         t1 = summary.claim("T1")
         assert t1.fails == 9

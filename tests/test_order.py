@@ -162,6 +162,15 @@ class TestParseBallot:
         with pytest.raises(GrammarError, match="unknown"):
             parse_ballot("x>q", candidates={"x", "y", "z"})
 
+    def test_each_id_checked_once(self, id_checks):
+        # The grammar checks the ids in the text; a universe is checked once, in label order.
+        ballot = parse_ballot("x>y>z>a~b~c~d", candidates=list("zyxdcba"))
+        assert id_checks == list("abcdxyz")
+        assert ballot == RankedBallot(("x", "y", "z"), frozenset("abcd"))
+        id_checks.clear()
+        assert parse_ballot("x>y>z>a~b~c~d") == ballot
+        assert id_checks == []
+
     def test_whitespace_is_tolerated(self):
         ballot = parse_ballot(" x > y > a ~ b ")
         assert ballot.ranked == ("x", "y")
