@@ -44,9 +44,6 @@ __all__ = [
     "FAILS",
     "VACUOUS",
     "CLAIM_REGISTRY",
-    "CLAIM_DESCRIPTIONS",
-    "MUST_CLAIMS",
-    "INFORMATIONAL_CLAIMS",
     "SUBRECORD_SWEEP_MAX_N",
     "ClaimReport",
     "is_join_semilattice",
@@ -77,10 +74,6 @@ CLAIM_REGISTRY = {
     "T3.sub": ("sub-record failures happen only on all-unranked records", False),
     "T4": ("spatial witness has exact utilities, an almost-strict class and passes concavity sampling", True),
 }
-
-CLAIM_DESCRIPTIONS = {code: text for code, (text, _) in CLAIM_REGISTRY.items()}
-MUST_CLAIMS = frozenset(code for code, (_, must) in CLAIM_REGISTRY.items() if must)
-INFORMATIONAL_CLAIMS = frozenset(CLAIM_REGISTRY) - MUST_CLAIMS
 
 #: A sub-record sweep costs 2^(pair count), once per ballot shape (ranked
 #: count, unranked count); past this candidate count the record-disjunction

@@ -148,15 +148,6 @@ class RankedBallot:
     def candidates(self) -> frozenset[str]:
         return frozenset(self.ranked) | self.unranked
 
-    def rank_of(self, candidate: str) -> int | None:
-        """1-based rank of a candidate, or None when unranked."""
-        try:
-            return self.ranked.index(candidate) + 1
-        except ValueError:
-            if candidate in self.unranked:
-                return None
-            raise ValueError(f"unknown candidate {candidate!r}") from None
-
     def is_total(self) -> bool:
         """True when every candidate is ranked."""
         return not self.unranked

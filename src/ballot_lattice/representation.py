@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Any, Iterable, Iterator, Mapping
 
-from .order import OrderRelation, RankedBallot, _pair, _slots, join, meet, relation_of
+from .order import OrderRelation, RankedBallot, _ids, _pair, _slots, join, meet, relation_of
 
 __all__ = [
     "ALL_SUBSETS_CAP",
@@ -28,8 +28,6 @@ __all__ = [
     "is_submodular",
     "rationalizability_class",
     "pair_record",
-    "Y_set",
-    "N_set",
     "extreme_points",
     "theorem3_check",
     "subrecord_verdicts",
@@ -126,26 +124,10 @@ class PairRecord:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def __iter__(self):
-        return iter(sorted(self.pairs))
-
-    def candidates(self) -> frozenset[str]:
-        return frozenset(c for pair in self.pairs for c in pair)
-
 
 def pair_record(ballot: RankedBallot) -> PairRecord:
     """Every weak-preference pair on the ballot."""
     return PairRecord(frozenset((x, y) for x, y in relation_of(ballot).pairs if x != y))
-
-
-def Y_set(record: PairRecord) -> frozenset[str]:
-    """Candidates weakly preferred to at least one other candidate."""
-    return frozenset(x for x, _ in record.pairs)
-
-
-def N_set(record: PairRecord) -> frozenset[str]:
-    """Candidates at least one other candidate is weakly preferred to."""
-    return frozenset(y for _, y in record.pairs)
 
 
 def extreme_points(ballot: RankedBallot, subset: Iterable[str]) -> frozenset[str]:
@@ -155,7 +137,7 @@ def extreme_points(ballot: RankedBallot, subset: Iterable[str]) -> frozenset[str
     unranked member (or the worst-ranked member when none is unranked).
     A subset containing only unranked candidates has no extreme points.
     """
-    members = frozenset(subset)
+    members = frozenset(_ids(subset, "subset"))
     unknown = members - ballot.candidates
     if unknown:
         raise ValueError(f"unknown candidates {sorted(unknown)}")

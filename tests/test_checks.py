@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from ballot_lattice import (
     ClaimReport,
+    ConcavityReport,
+    DisjunctionVerdict,
     OrderRelation,
     RankedBallot,
     atoms,
@@ -24,6 +26,7 @@ from ballot_lattice import (
     relation_claims,
     relation_of,
 )
+from ballot_lattice import checks
 from ballot_lattice.checks import carry_or_evaluate
 from test_order import hand_built_relations
 
@@ -373,3 +376,32 @@ class TestCarryOrEvaluate:
                     if isinstance(value, list):
                         value.append("edited")
         assert rows[1:2] + rows[3:] == before[1:2] + before[3:]
+
+
+class TestClaimBlockFailures:
+    def test_failing_sub_record_fails_t3_sub_and_each_ballot_is_evaluated(self, monkeypatch):
+        def one_failure(ballot):
+            chosen = ((ballot.ranked[0], sorted(ballot.unranked)[0]),)
+            yield chosen, DisjunctionVerdict("fails", None, False)
+
+        monkeypatch.setattr(checks, "subrecord_verdicts", one_failure)
+        rows, calls = carried([parse_ballot(text) for text in ONE_SHAPE], checks._claim_block)
+        # T3.sub's witness has no ``kind``, so the shape has no plan
+        assert calls == ONE_SHAPE
+        first_pairs = [["a", "b"], ["c", "a"], ["b", "a"]]
+        for ballot_rows, pair in zip(rows, first_pairs):
+            t3 = {row["claim"]: row for row in ballot_rows if row["claim"].startswith("T3")}
+            assert t3["T3.full"]["verdict"] == "holds"
+            assert t3["T3.sub"]["verdict"] == "fails"
+            assert t3["T3.sub"]["witness"] == [[pair]]
+
+    def test_failed_concavity_sampling_fails_t4(self, monkeypatch):
+        sample = {"x": [0.0], "y": [1.0], "lam": 0.5}
+        failed = ConcavityReport(False, 1, sample)
+        monkeypatch.setattr(checks, "verify_concavity", lambda witness: failed)
+        reports, _ = checks._claim_block(parse_ballot("a>b~c"), "a>b~c")
+        t4 = next(report for report in reports if report.claim == "T4")
+        assert t4.verdict == "fails"
+        assert t4.witness == {
+            "issues": [{"concavity": sample}], "class": "almost_strict", "expected": "almost_strict"
+        }

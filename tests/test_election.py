@@ -251,6 +251,16 @@ class TestLoadProfile:
         with pytest.raises(ProfileError, match="empty file"):
             load_profile(path)
 
+    def test_header_without_rank_columns(self, tmp_path, capsys):
+        path = self.write(tmp_path, "voter_id\nv1\n")
+        message = "profile csv: line 1: header needs at least one rank column"
+        with pytest.raises(ProfileError) as info:
+            load_profile(path)
+        assert str(info.value) == message and info.value.line == 1
+        assert cli.main(["tabulate", "--input", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [f"error: {message}"]
+
     def test_header_only(self, tmp_path):
         path = self.write(tmp_path, "voter_id,rank1\n")
         with pytest.raises(ProfileError, match="no ballots"):
@@ -952,6 +962,17 @@ class TestProfileReport:
         assert sorted(calls) == sorted(
             ["is_join_semilattice", "is_modular", "check_remark1"] * 4
         )
+
+    def test_universe_over_the_relation_cap_skips_order_checks(self):
+        universe = [f"c{i:02d}" for i in range(13)]
+        profile = profile_of(universe, universe[:2], universe[:3], universe)
+        entries = profile_report(profile)["ballot_types"]
+        assert len(entries) == 3
+        for entry in entries:
+            assert entry["order"] == {
+                "skipped": "candidate universe exceeds the relation cap of 12"
+            }
+            assert "claims" not in entry and "rationalizability" not in entry
 
     def test_report_is_deterministic(self):
         profile = profile_of("abc", ["b"], ["c", "a"], ["a", "b", "c"])

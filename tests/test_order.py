@@ -91,13 +91,6 @@ class TestRankedBallot:
         with pytest.raises(ValueError, match=r"invalid unranked 'bc': expected a collection"):
             RankedBallot(("a",), "bc")
 
-    def test_rank_of(self, deep_ballot):
-        assert deep_ballot.rank_of("x") == 1
-        assert deep_ballot.rank_of("z") == 3
-        assert deep_ballot.rank_of("a") is None
-        with pytest.raises(ValueError, match="unknown"):
-            deep_ballot.rank_of("q")
-
 
 # ---------------------------------------------------------------------------
 # grammar
@@ -161,6 +154,12 @@ class TestParseBallot:
     def test_unknown_candidate(self):
         with pytest.raises(GrammarError, match="unknown"):
             parse_ballot("x>q", candidates={"x", "y", "z"})
+
+    def test_invalid_id_names_its_column(self):
+        with pytest.raises(GrammarError) as err:
+            parse_ballot("a>b-c")
+        assert err.value.column == 3
+        assert "invalid candidate id 'b-c'" in str(err.value)
 
     def test_each_id_checked_once(self, id_checks):
         # The grammar checks the ids in the text; a universe is checked once, in label order.
@@ -320,6 +319,10 @@ class TestClassifiers:
     def test_unknown_pair_member_is_named(self):
         with pytest.raises(ValueError, match=r"pair \('a', 'z'\) mentions an unknown candidate"):
             OrderRelation.from_dict({"candidates": ["a", "b"], "pairs": [["a", "z"]]})
+
+    def test_empty_candidates_are_refused(self):
+        with pytest.raises(ValueError, match="^a relation needs at least one candidate$"):
+            OrderRelation((), ())
 
     def test_relation_cap(self):
         names = tuple(f"c{i:02d}" for i in range(13))

@@ -7,19 +7,19 @@ import pytest
 import oracles
 from ballot_lattice import (
     ALL_SUBSETS_CAP,
-    N_set,
     OrderRelation,
     PairRecord,
     RankedBallot,
     SpatialWitness,
     UtilityAssignment,
-    Y_set,
     canonical_utility,
     concave_witness,
     enumerate_ballots,
     extreme_points,
     is_representation,
     is_submodular,
+    join,
+    meet,
     pair_record,
     parse_ballot,
     rationalizability_class,
@@ -56,6 +56,11 @@ class TestRepresentation:
         flipped["y"], flipped["x"] = Fraction(5), Fraction(1)
         assert not is_representation(UtilityAssignment(flipped), deep_relation)
 
+    def test_utility_tying_a_strict_pair_is_not(self):
+        # weak preference holds on every pair; only the strict a > b is violated
+        tied = UtilityAssignment({"a": 2, "b": 2, "c": 0})
+        assert not is_representation(tied, relation_of(parse_ballot("a>b>c")))
+
     def test_weakly_decreasing_in_rank(self, deep_ballot):
         util = canonical_utility(deep_ballot)
         ranks = [util[c] for c in deep_ballot.ranked]
@@ -84,6 +89,12 @@ class TestSubmodular:
         fine = UtilityAssignment({"t": 2, "b": 0, "p": 1, "q": 1})
         assert is_submodular(fine, rel)
 
+    def test_meet_without_join_fails(self):
+        # x and y both beat z: their meet is z, but nothing sits above both
+        rel = OrderRelation(("x", "y", "z"), frozenset({("x", "z"), ("y", "z")}))
+        assert meet(rel, "x", "y") == "z" and join(rel, "x", "y") is None
+        assert not is_submodular(UtilityAssignment({"x": 1, "y": 1, "z": 0}), rel)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_census_canonical_always_submodular(self, n):
         for ballot in enumerate_ballots([f"c{i}" for i in range(n)]):
@@ -103,19 +114,13 @@ class TestPairRecord:
         strict = k * (k - 1) // 2 + k * m
         assert len(record) == strict + m * (m - 1)
 
-    def test_y_and_n_sets(self, deep_ballot):
-        record = pair_record(deep_ballot)
-        assert Y_set(record) == frozenset("abcdxyz")
-        assert N_set(record) == frozenset("abcdyz")
-
     def test_singleton_record(self):
         record = PairRecord(frozenset({("p", "q")}))
-        assert Y_set(record) == frozenset({"p"})
-        assert N_set(record) == frozenset({"q"})
+        assert record.pairs == frozenset({("p", "q")}) and len(record) == 1
 
     def test_empty_record(self):
         record = PairRecord(frozenset())
-        assert Y_set(record) == frozenset() and N_set(record) == frozenset()
+        assert record.pairs == frozenset() and len(record) == 0
 
     @pytest.mark.parametrize(
         "pair", ["bc", ("a", "b", "c"), ("a", 1)], ids=["string", "triple", "non-string"]
@@ -162,6 +167,13 @@ class TestExtremePoints:
     def test_unknown_candidate(self, deep_ballot):
         with pytest.raises(ValueError, match="unknown"):
             extreme_points(deep_ballot, {"x", "nope"})
+
+    def test_bare_string_subset_is_refused(self):
+        # "xy" would otherwise read as the two ids x and y.
+        ballot = parse_ballot("x>y>a~b")
+        with pytest.raises(ValueError) as err:
+            extreme_points(ballot, "xy")
+        assert str(err.value) == "invalid subset 'xy': expected a collection of candidate ids"
 
 
 class TestTheorem3Check:
