@@ -572,6 +572,34 @@ class TestHarness:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            (
+                ["witness", "--ballot", "x>y>z>a~b~c~d"],
+                "1b272ca6a74239d8ed17223dff272534bb134b36f2ec77c94d3f4508293477af",
+            ),
+            (
+                ["witness", "--ballot", "a>b~c~d~e~f~g~h~i~j~k~l"],
+                "bfc0e9c2137e18079be43ecc8ffd7dfda3314750b04fe3b98d106f2fff9d1d37",
+            ),
+            (
+                ["enumerate", "--n", "4"],
+                "adffda96a3b1b5706ade17eaea915abf03f19cb2865e3e120626ee4de465a4be",
+            ),
+            (
+                ["theorem3", "--full", "--ballot", "a>b~c~d~e~f~g~h~i~j~k~l"],
+                "25b1201a305cd97e9d38559cdfbdc83a40d189479d43b7e0c73578f93ad2158b",
+            ),
+        ],
+        ids=["witness-tied-tail", "witness-12-candidates", "enumerate-n4", "theorem3-12-full"],
+    )
+    def test_query_json_bytes_are_pinned(self, capsys, argv, sha256):
+        # Digests of the JSON output from when json.dumps(indent=2) wrote it.
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
     def test_one_parser_serves_every_call(self, capsys):
         calls = [
             ["analyze", "--ballot", "x>y>z>a~b~c~d", "--format", "json"],
