@@ -99,9 +99,55 @@ def _lengths(raw: str) -> list[int]:
         raise ValueError(f"--lengths: expected comma-separated integers, got {raw!r}") from None
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_encode_scalar = json.JSONEncoder().encode
+
+
+def _write(value, out: list[str], indent: str) -> None:
+    """Append ``value`` to ``out`` as ``json.dumps(value, indent=2, sort_keys=True)``
+    writes it, nested at ``indent``.
+
+    Only the indented dump runs json's pure-Python encoder; here strings and
+    keys go through its C escaper, and every other scalar through its own
+    compact encoder.  A key that is not a string is a ``TypeError``.
+    """
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            out.append(sep)
+            out.append(_encode_str(key))
+            out.append(": ")
+            _write(value[key], out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        out.append(_encode_scalar(value))
+
+
 def _emit(payload: dict, args, render_text) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        out: list[str] = []
+        _write(payload, out, "")
+        print("".join(out))
     else:
         render_text(payload)
 

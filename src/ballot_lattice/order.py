@@ -110,6 +110,13 @@ def _candidate_ids(values, what: str = "candidates") -> tuple[str, ...]:
     return tuple([_check_token(by_repr[r]) for r in sorted(by_repr)])
 
 
+def _check_relation_cap(n: int) -> None:
+    if n > MAX_RELATION_CANDIDATES:
+        raise ValueError(
+            f"candidate set of size {n} exceeds the relation cap of {MAX_RELATION_CANDIDATES}"
+        )
+
+
 def _exact_int(value, what: str) -> int:
     """``value`` as an exact integer; bools, floats and strings are refused."""
     if not isinstance(value, bool):
@@ -262,11 +269,7 @@ class OrderRelation:
         cands = _candidate_ids(self.candidates)
         if not cands:
             raise ValueError("a relation needs at least one candidate")
-        if len(cands) > MAX_RELATION_CANDIDATES:
-            raise ValueError(
-                f"candidate set of size {len(cands)} exceeds the relation cap "
-                f"of {MAX_RELATION_CANDIDATES}"
-            )
+        _check_relation_cap(len(cands))
         known = set(cands)
         pairs = set()
         for pair in self.pairs:
@@ -275,16 +278,26 @@ class OrderRelation:
                 raise ValueError(f"pair {(x, y)!r} mentions an unknown candidate")
             pairs.add((x, y))
         pairs.update((c, c) for c in cands)
+        self._settle(cands, frozenset(pairs))
+
+    def _settle(self, cands: tuple[str, ...], pairs: frozenset) -> "OrderRelation":
+        """This relation on sorted ids and reflexive pairs checked already, with
+        ``_above`` and ``_below`` derived.
+
+        The constructor settles here after its checks, and :func:`relation_of`,
+        whose ballot was checked when it was built, builds its relation here.
+        """
         object.__setattr__(self, "candidates", cands)
-        object.__setattr__(self, "pairs", frozenset(pairs))
+        object.__setattr__(self, "pairs", pairs)
         above: dict[str, set[str]] = {c: set() for c in cands}
         below: dict[str, set[str]] = {c: set() for c in cands}
-        for x, y in self.pairs:
-            if self.strictly(x, y):
+        for x, y in pairs:
+            if (y, x) not in pairs:
                 above[y].add(x)
                 below[x].add(y)
         object.__setattr__(self, "_above", {c: frozenset(s) for c, s in above.items()})
         object.__setattr__(self, "_below", {c: frozenset(s) for c, s in below.items()})
+        return self
 
     @cached_property
     def _gap(self) -> tuple[str, str, str] | None:
@@ -365,15 +378,17 @@ def relation_of(ballot: RankedBallot) -> OrderRelation:
     every unranked candidate sitting at position ``len(ranked)``: a ranked
     candidate is strictly above every later-ranked and every unranked
     candidate, and unranked candidates are mutually tied.  The result is
-    complete by construction.
+    complete by construction.  The ballot's ids were checked when it was
+    built, so only the relation cap is checked here.
     """
+    cands = ballot.candidates
+    _check_relation_cap(len(cands))
     rank = {c: i for i, c in enumerate(ballot.ranked)}
     k = len(ballot.ranked)
-    cands = ballot.candidates
     pairs = frozenset(
         (x, y) for x in cands for y in cands if rank.get(x, k) <= rank.get(y, k)
     )
-    return OrderRelation(tuple(sorted(cands)), pairs)
+    return object.__new__(OrderRelation)._settle(tuple(sorted(cands)), pairs)
 
 
 def transitivity_gap(r: OrderRelation) -> tuple[str, str, str] | None:
@@ -508,20 +523,29 @@ def meet_irreducibles(r: OrderRelation) -> frozenset[str]:
     return frozenset(x for x, k in counts.items() if k == 1)
 
 
+def _only_full_degree(r: OrderRelation, side: int) -> str | None:
+    """The one candidate that is member ``side`` of ``n`` pairs, or None.
+
+    Every relation holds its diagonal, so that candidate is weakly above
+    (side 0) or below (side 1) every candidate.
+    """
+    n = len(r.candidates)
+    full = [c for c, k in Counter(map(operator.itemgetter(side), r.pairs)).items() if k == n]
+    return full[0] if len(full) == 1 else None
+
+
 def least_element(r: OrderRelation) -> str | None:
     """The unique candidate everyone is weakly above, if there is one.
 
     Tied bottom candidates each satisfy the defining property, so a
     relation with a tied tail has no least element (and hence no atoms).
     """
-    lows = [x for x in r.candidates if all(r.holds(y, x) for y in r.candidates)]
-    return lows[0] if len(lows) == 1 else None
+    return _only_full_degree(r, 1)
 
 
 def greatest_element(r: OrderRelation) -> str | None:
     """The unique candidate weakly above everyone, if there is one."""
-    tops = [x for x in r.candidates if all(r.holds(x, y) for y in r.candidates)]
-    return tops[0] if len(tops) == 1 else None
+    return _only_full_degree(r, 0)
 
 
 def atoms(r: OrderRelation) -> frozenset[str]:

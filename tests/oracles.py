@@ -101,6 +101,13 @@ def is_greatest_lower_bound(rel: OrderRelation, x: str, y: str, candidate: str |
     return glb(candidate)
 
 
+def naive_extremes(rel: OrderRelation) -> tuple[str | None, str | None]:
+    """The least and the greatest element, each by the scan over every candidate pair."""
+    lows = [x for x in rel.candidates if all(rel.holds(y, x) for y in rel.candidates)]
+    tops = [x for x in rel.candidates if all(rel.holds(x, y) for y in rel.candidates)]
+    return (lows[0] if len(lows) == 1 else None, tops[0] if len(tops) == 1 else None)
+
+
 def naive_transitivity_gap(rel: OrderRelation) -> tuple[str, str, str] | None:
     """First ``(x, y, z)`` with ``x >= y >= z`` but not ``x >= z``, by the walk over all triples."""
     for x in rel.candidates:

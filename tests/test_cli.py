@@ -8,6 +8,7 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ballot_lattice import cli, fixture_path, load_profile, profile_report
 from ballot_lattice.cli import main
@@ -106,10 +107,17 @@ class TestAnalyze:
         assert code == 1 and err.startswith("error:")
 
     def test_candidates_checked_once_per_boundary(self, capsys, id_checks):
-        # --candidates, the parser's universe and the relation: three checks of each id
+        # --candidates and the parser's universe: two checks of each id; the
+        # relation is settled from the checked ballot and checks none again
         code, _, _ = run_cli(capsys, "analyze", "--ballot", "a>b", "--candidates", "a,b,c,d")
         assert code == 0
-        assert Counter(id_checks) == Counter("abcd" * 3)
+        assert Counter(id_checks) == Counter("abcd" * 2)
+
+    @pytest.mark.parametrize("command", ["analyze", "witness", "theorem3"])
+    def test_thirteen_candidates_exceed_the_relation_cap(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--ballot", "a>b>c~d~e~f~g~h~i~j~k~l~m")
+        assert (code, out) == (1, "")
+        assert err == "error: candidate set of size 13 exceeds the relation cap of 12\n"
 
 
 class TestVerify:
@@ -681,3 +689,50 @@ assert "numpy" in sys.modules
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["classification"]["is_total"] is True
+
+
+# ---------------------------------------------------------------------------
+# the indented JSON writer behind --format json
+
+# Quotes, backslashes, control characters and non-ASCII text, in keys and values.
+JSON_TEXT = st.text(
+    alphabet=st.one_of(st.characters(), st.sampled_from('"\\\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'))
+)
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200).flatmap(lambda k: st.sampled_from([k, -k])),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 1e16, 0.1, float("nan"), float("inf"), float("-inf")]),
+    JSON_TEXT,
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(JSON_TEXT, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def written(value) -> str:
+    out = []
+    cli._write(value, out, "")
+    return "".join(out)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_TREES)
+@example({"a": {}, "b": [], "c": [{}, [], ()], "d": {"e": {"f": []}}})
+@example([True, 1, False, 0, None, 1.0, -0.0, 1e16, 0.1, float("nan"), float("inf"), 2**64 + 1])
+@example({"\u00e9\"\\\n": "\x00\u2028\U0001f600", "B": True, "a": 1})
+def test_writer_matches_indented_json_dumps(value):
+    assert written(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_writer_refuses_a_non_string_key():
+    with pytest.raises(TypeError):
+        written({"a": {1: "b"}})

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 import re
 import string
 
@@ -16,6 +17,7 @@ from ballot_lattice import (
     atoms,
     coatoms,
     covers,
+    default_candidates,
     enumerate_ballots,
     find_truncation_sensitive_profile,
     fixture_path,
@@ -32,6 +34,7 @@ from ballot_lattice import (
     load_profile,
     meet,
     meet_irreducibles,
+    pair_record,
     parse_ballot,
     relation_claims,
     relation_of,
@@ -241,6 +244,40 @@ class TestRelationOf:
         assert not is_partial_order(deep_relation)
         assert is_partial_order(relation_of(parse_ballot("p>q>r")))
 
+    @staticmethod
+    def assert_settled_as_checked(ballot):
+        settled = relation_of(ballot)
+        checked = OrderRelation(settled.candidates, settled.pairs)
+        assert settled == checked
+        for name in ("_above", "_below", "_gap", "_joins", "_covers"):
+            assert getattr(settled, name) == getattr(checked, name), name
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_settled_relation_equals_a_checked_one_on_the_census(self, n):
+        for ballot in enumerate_ballots(default_candidates(n)):
+            self.assert_settled_as_checked(ballot)
+
+    def test_settled_relation_equals_a_checked_one_up_to_the_cap(self):
+        rng = random.Random(27)
+        for _ in range(200):
+            cands = [f"c{i}" for i in range(rng.randint(7, 12))]
+            rng.shuffle(cands)
+            k = rng.randint(1, len(cands))
+            self.assert_settled_as_checked(RankedBallot(tuple(cands[:k]), frozenset(cands[k:])))
+
+    def test_settled_relation_checks_no_id(self, id_checks):
+        ballot = parse_ballot("a>b~c~d")
+        id_checks.clear()
+        relation_of(ballot)
+        assert id_checks == []
+
+    def test_cap_is_the_constructors_error(self):
+        ballot = parse_ballot("a>b>c~d~e~f~g~h~i~j~k~l~m")
+        message = "^candidate set of size 13 exceeds the relation cap of 12$"
+        for build in (relation_of, pair_record, lambda b: OrderRelation(sorted(b.candidates), ())):
+            with pytest.raises(ValueError, match=message):
+                build(ballot)
+
 
 # ---------------------------------------------------------------------------
 # hand-built relations keep the classifiers falsifiable
@@ -348,11 +385,17 @@ TIED_GAP = OrderRelation(
     ("a", "b", "c", "d"), frozenset({("a", "b"), ("b", "a"), ("b", "c"), ("c", "d")})
 )
 
+# Not a ballot: two incomparable middles, between a greatest and a least element.
+DIAMOND = OrderRelation(
+    ("b", "t", "x", "y"), frozenset({("t", "x"), ("t", "y"), ("t", "b"), ("x", "b"), ("y", "b")})
+)
+
 
 @settings(max_examples=300, deadline=None)
 @given(hand_built_relations())
 @example(CYCLE)
 @example(TIED_GAP)
+@example(DIAMOND)
 def test_hand_built_relations_match_the_oracles(r):
     assert OrderRelation.from_dict(r.to_dict()) == r
     for x in r.candidates:
@@ -361,6 +404,7 @@ def test_hand_built_relations_match_the_oracles(r):
             assert oracles.is_greatest_lower_bound(r, x, y, meet(r, x, y))
     assert {(c.upper, c.lower) for c in covers(r)} == oracles.naive_covers(r)
     assert transitivity_gap(r) == oracles.naive_transitivity_gap(r)
+    assert (least_element(r), greatest_element(r)) == oracles.naive_extremes(r)
     assert relation_claims(r, "r") == oracles.naive_relation_claims(r, "r")
 
 
