@@ -114,9 +114,6 @@ def _write(value, out: list[str], indent: str) -> None:
     if isinstance(value, str):
         out.append(_encode_str(value))
     elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
         inner = indent + "  "
         sep = "{\n" + inner
         for key in sorted(value):
@@ -127,18 +124,15 @@ def _write(value, out: list[str], indent: str) -> None:
             out.append(": ")
             _write(value[key], out, inner)
             sep = ",\n" + inner
-        out.append("\n" + indent + "}")
+        out.append("\n" + indent + "}" if value else "{}")
     elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
         inner = indent + "  "
         sep = "[\n" + inner
         for item in value:
             out.append(sep)
             _write(item, out, inner)
             sep = ",\n" + inner
-        out.append("\n" + indent + "]")
+        out.append("\n" + indent + "]" if value else "[]")
     else:
         out.append(_encode_scalar(value))
 
