@@ -608,6 +608,63 @@ class TestHarness:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            (
+                ["analyze", "--ballot", "x>y>z>a~b~c~d"],
+                "5f08fa29289a3ea5fd51a469861804297b2d4383ee6ffe7fcdd592d8ec9ae2be",
+            ),
+            (
+                ["analyze", "--ballot", "a"],
+                "06972c9bf1b15287e9bd430820a94a3d5fb1c1a27852df01f210e1e2f2d98ac3",
+            ),
+            (
+                ["verify", "--n", "4"],
+                "c15404b1d61b036e44b91cc5a7644aea57f3d4ad29dc4c2a234fa811d0bcdaec",
+            ),
+            (
+                ["enumerate", "--n", "3"],
+                "94ad2de9455fc3cce437578dd4b3e321e1089efd23a5b5f9878a0fd8e017c59a",
+            ),
+            (
+                ["theorem3", "--full", "--ballot", "a>b~c"],
+                "a62b181ecb2ab9de20ffaa714ab1257d3540ed3e5d858a5c507ca0c1cf9e9de2",
+            ),
+            (
+                ["theorem3", "--all-subsets", "--ballot", "a>b~c"],
+                "bb3dc288e31b22eb0f16b698c3f3d24e3de2c27a7305cd6a9bee1fff2a6778b4",
+            ),
+            (
+                ["witness", "--ballot", "g>a~b"],
+                "d699699dd59aa1fefad5d1e4ea0a624f8974336f4600271ac45c1747287f4523",
+            ),
+            (
+                ["tabulate", "--input", str(fixture_path())],
+                "715e14f7e0c9297e8e3eeef6b540f7015284b7fc65fc9b35bb415907516e34a6",
+            ),
+            (
+                ["truncate", "--input", str(fixture_path()), "--lengths", "1,2,3"],
+                "78561e3d1873436bc14750ab29d37ce071fb3773e529759b4f48b07a70298e73",
+            ),
+            (
+                ["truncate", "--input", str(fixture_path()), "--lengths", "2,3"],
+                "e61450b5ef668c491dcc4bcd96214c0511b4066b614630d6a4568a9da6c45b6b",
+            ),
+        ],
+        ids=[
+            "analyze-tied-tail", "analyze-one-candidate", "verify-n4", "enumerate-n3",
+            "theorem3-full", "theorem3-all-subsets", "witness", "tabulate-fixture",
+            "truncate-divergent", "truncate-no-divergence",
+        ],
+    )
+    def test_text_bytes_are_pinned(self, capsys, argv, sha256):
+        # Digests of the default text output from when each subcommand
+        # printed its own payload.
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
     def test_one_parser_serves_every_call(self, capsys):
         calls = [
             ["analyze", "--ballot", "x>y>z>a~b~c~d", "--format", "json"],
