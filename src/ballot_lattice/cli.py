@@ -75,18 +75,18 @@ def _integer(raw: str) -> int:
     return int(text)
 
 
-def _check_n(n: int) -> int:
+def _census_size(raw: str) -> int:
+    """``--n``: an integer within the enumeration cap."""
+    n = _integer(raw)
     if not 1 <= n <= MAX_ENUMERATION_CANDIDATES:
-        raise ValueError(f"--n must be within 1..{MAX_ENUMERATION_CANDIDATES}")
+        raise argparse.ArgumentTypeError(f"must be within 1..{MAX_ENUMERATION_CANDIDATES}")
     return n
 
 
-def _universe(args) -> tuple[str, ...] | None:
+def _universe(raw: str) -> tuple[str, ...]:
     """The ``--candidates`` universe, validated before any input is read."""
-    if args.candidates is None:
-        return None
     try:
-        return _candidate_ids(piece.strip() for piece in args.candidates.split(","))
+        return _candidate_ids(piece.strip() for piece in raw.split(","))
     except ValueError as exc:
         raise ValueError(f"--candidates: {exc}") from None
 
@@ -137,18 +137,8 @@ def _write(value, out: list[str], indent: str) -> None:
         out.append(_encode_scalar(value))
 
 
-def _emit(payload: dict, args, render_text) -> None:
-    if args.format == "json":
-        out: list[str] = []
-        _write(payload, out, "")
-        print("".join(out))
-    else:
-        render_text(payload)
-
-
-def _cmd_analyze(args) -> int:
-    universe = _universe(args)
-    ballot = parse_ballot(args.ballot, universe)
+def _cmd_analyze(args) -> tuple:
+    ballot = args.ballot
     rel = relation_of(ballot)
     text = format_ballot(ballot)
     reports = relation_claims(rel, text)
@@ -202,13 +192,11 @@ def _cmd_analyze(args) -> int:
                 line += f"  witness={json.dumps(claim['witness'], sort_keys=True)}"
             print(line)
 
-    _emit(payload, args, render)
-    return 0
+    return payload, render
 
 
-def _cmd_verify(args) -> int:
-    n = _check_n(args.n)
-    summary = exhaustive_verify(n)
+def _cmd_verify(args) -> tuple:
+    summary = exhaustive_verify(args.n)
     payload = summary.to_dict()
 
     def render(p):
@@ -224,26 +212,22 @@ def _cmd_verify(args) -> int:
             )
         print(f"result: {'ok' if p['ok'] else 'MUST-HOLD FAILURE: ' + ', '.join(p['must_failures'])}")
 
-    _emit(payload, args, render)
-    return 0 if summary.ok else 2
+    return payload, render, 0 if summary.ok else 2
 
 
-def _cmd_enumerate(args) -> int:
-    n = _check_n(args.n)
-    ballots = [format_ballot(b) for b in enumerate_ballots(default_candidates(n))]
-    payload = {"n": n, "count": len(ballots), "ballots": ballots}
+def _cmd_enumerate(args) -> tuple:
+    ballots = [format_ballot(b) for b in enumerate_ballots(default_candidates(args.n))]
+    payload = {"n": args.n, "count": len(ballots), "ballots": ballots}
 
     def render(p):
         for text in p["ballots"]:
             print(text)
 
-    _emit(payload, args, render)
-    return 0
+    return payload, render
 
 
-def _cmd_theorem3(args) -> int:
-    universe = _universe(args)
-    ballot = parse_ballot(args.ballot, universe)
+def _cmd_theorem3(args) -> tuple:
+    ballot = args.ballot
     if args.all_subsets:
         counts = {"disjunct1": 0, "disjunct2": 0, "fails": 0}
         fails_all_unranked = 0
@@ -277,8 +261,7 @@ def _cmd_theorem3(args) -> int:
             else:
                 print("unexpected failures: none")
 
-        _emit(payload, args, render)
-        return 0
+        return payload, render
 
     # The record is the ballot's own, so it is empty only for one candidate.
     pairs = pair_record(ballot).pairs
@@ -300,13 +283,12 @@ def _cmd_theorem3(args) -> int:
         print(f"witness: {json.dumps(v['witness'], sort_keys=True)}")
         print(f"all_unranked: {v['all_unranked']}")
 
-    _emit(payload, args, render)
-    return 0
+    return payload, render
 
 
-def _cmd_witness(args) -> int:
-    universe = _universe(args)
-    ballot = parse_ballot(args.ballot, universe)
+def _cmd_witness(args) -> tuple:
+    ballot = args.ballot
+    record = pair_record(ballot)  # checks the relation cap before anything is sampled
     witness = concave_witness(ballot)
     utilities = witness.utilities()
     concavity = verify_concavity(witness)
@@ -314,7 +296,7 @@ def _cmd_witness(args) -> int:
         "ballot": format_ballot(ballot),
         "witness": witness.to_dict(),
         "utilities": utilities.to_dict(),
-        "rationalizability": rationalizability_class(utilities, pair_record(ballot)),
+        "rationalizability": rationalizability_class(utilities, record),
         "concavity": concavity.to_dict(),
     }
 
@@ -329,15 +311,11 @@ def _cmd_witness(args) -> int:
         ok = "passed" if p["concavity"]["ok"] else "FAILED"
         print(f"concavity sampling: {ok} ({p['concavity']['trials']} trials)")
 
-    _emit(payload, args, render)
-    return 0
+    return payload, render
 
 
-def _cmd_tabulate(args) -> int:
-    universe = _universe(args)
-    profile = load_profile(args.input, candidates=universe)
-    result = tabulate_irv(profile)
-    payload = result.to_dict()
+def _cmd_tabulate(args) -> tuple:
+    payload = tabulate_irv(args.input).to_dict()
 
     def render(p):
         for number, rnd in enumerate(p["rounds"], start=1):
@@ -348,16 +326,11 @@ def _cmd_tabulate(args) -> int:
             print(line)
         print(f"winner: {p['winner']}")
 
-    _emit(payload, args, render)
-    return 0
+    return payload, render
 
 
-def _cmd_truncate(args) -> int:
-    universe = _universe(args)
-    lengths = _lengths(args.lengths)
-    profile = load_profile(args.input, candidates=universe)
-    report = truncation_experiment(profile, lengths)
-    payload = report.to_dict()
+def _cmd_truncate(args) -> tuple:
+    payload = truncation_experiment(args.input, args.lengths).to_dict()
 
     def render(p):
         for length, winner in sorted(p["winners"].items(), key=lambda kv: int(kv[0])):
@@ -368,8 +341,7 @@ def _cmd_truncate(args) -> int:
         else:
             print("winner divergence: none")
 
-    _emit(payload, args, render)
-    return 0
+    return payload, render
 
 
 # Built on the first call and reused by every later one in the process.
@@ -378,41 +350,33 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ballot-lattice", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text):
-        sub = subs.add_parser(name, help=help_text)
+    # Each input flag is declared once, on a parent its subcommands share.
+    universe = argparse.ArgumentParser(add_help=False)
+    universe.add_argument("--candidates", help="comma-separated candidate universe")
+    one_ballot = argparse.ArgumentParser(add_help=False, parents=[universe])
+    one_ballot.add_argument("--ballot", required=True, help='ballot text, e.g. "x>y>z>a~b~c~d"')
+    profile = argparse.ArgumentParser(add_help=False, parents=[universe])
+    profile.add_argument("--input", required=True, help="profile CSV path")
+    census = argparse.ArgumentParser(add_help=False)
+    census.add_argument("--n", type=_census_size, required=True)
+
+    def add(name, handler, help_text, parent):
+        sub = subs.add_parser(name, help=help_text, parents=[parent])
         sub.set_defaults(handler=handler)
         sub.add_argument("--format", choices=("text", "json"), default="text")
         return sub
 
-    sub = add("analyze", _cmd_analyze, "classify one ballot and report all claims")
-    sub.add_argument("--ballot", required=True, help='ballot text, e.g. "x>y>z>a~b~c~d"')
-    sub.add_argument("--candidates", help="comma-separated candidate universe")
-
-    sub = add("verify", _cmd_verify, "exhaustively verify all claims on n candidates")
-    sub.add_argument("--n", type=_integer, required=True)
-
-    sub = add("enumerate", _cmd_enumerate, "list the full ballot census on n candidates")
-    sub.add_argument("--n", type=_integer, required=True)
-
-    sub = add("theorem3", _cmd_theorem3, "record disjunction check for one ballot")
-    sub.add_argument("--ballot", required=True)
-    sub.add_argument("--candidates", help="comma-separated candidate universe")
+    add("analyze", _cmd_analyze, "classify one ballot and report all claims", one_ballot)
+    add("verify", _cmd_verify, "exhaustively verify all claims on n candidates", census)
+    add("enumerate", _cmd_enumerate, "list the full ballot census on n candidates", census)
+    sub = add("theorem3", _cmd_theorem3, "record disjunction check for one ballot", one_ballot)
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--full", action="store_true", help="check the full record (default)")
     group.add_argument("--all-subsets", action="store_true", help="sweep every nonempty sub-record")
-
-    sub = add("witness", _cmd_witness, "spatial witness and concavity check for one ballot")
-    sub.add_argument("--ballot", required=True)
-    sub.add_argument("--candidates", help="comma-separated candidate universe")
-
-    sub = add("tabulate", _cmd_tabulate, "instant-runoff tabulation of a CSV profile")
-    sub.add_argument("--input", required=True, help="profile CSV path")
-    sub.add_argument("--candidates", help="comma-separated candidate universe")
-
-    sub = add("truncate", _cmd_truncate, "ballot-length sensitivity experiment")
-    sub.add_argument("--input", required=True, help="profile CSV path")
+    add("witness", _cmd_witness, "spatial witness and concavity check for one ballot", one_ballot)
+    add("tabulate", _cmd_tabulate, "instant-runoff tabulation of a CSV profile", profile)
+    sub = add("truncate", _cmd_truncate, "ballot-length sensitivity experiment", profile)
     sub.add_argument("--lengths", required=True, help="comma-separated lengths, e.g. 1,2,3")
-    sub.add_argument("--candidates", help="comma-separated candidate universe")
 
     return parser
 
@@ -425,7 +389,25 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.handler(args)
+        # Each input is read once, here, and its flag's value replaced by what
+        # was read.  The order fixes which error a command with several bad
+        # inputs reports: the universe, then the lengths, then the ballot or file.
+        if getattr(args, "candidates", None) is not None:
+            args.candidates = _universe(args.candidates)
+        if "lengths" in args:
+            args.lengths = _lengths(args.lengths)
+        if "ballot" in args:
+            args.ballot = parse_ballot(args.ballot, args.candidates)
+        if "input" in args:
+            args.input = load_profile(args.input, candidates=args.candidates)
+        payload, render, *status = args.handler(args)  # verify adds its exit status
+        if args.format == "json":
+            out: list[str] = []
+            _write(payload, out, "")
+            print("".join(out))
+        else:
+            render(payload)
+        return status[0] if status else 0
     except BrokenPipeError:
         # The reader is gone: stop quietly, and send what is still buffered
         # for stdout to the null device so the flush at exit cannot fail too.

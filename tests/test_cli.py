@@ -165,6 +165,12 @@ class TestVerify:
         assert code == 1 and out == ""
         assert err == f"error: argument --n: expected an integer, got {raw!r}\n"
 
+    @pytest.mark.parametrize("command, raw", [("verify", "8"), ("enumerate", "0")])
+    def test_n_out_of_range_is_an_argument_error(self, capsys, command, raw):
+        code, out, err = run_cli(capsys, command, "--n", raw)
+        assert (code, out) == (1, "")
+        assert err == "error: argument --n: must be within 1..7\n"
+
     def test_padded_n_is_stripped(self, capsys):
         _, plain, _ = run_cli(capsys, "enumerate", "--n", "3")
         code, padded, err = run_cli(capsys, "enumerate", "--n", " 3 ")
@@ -281,6 +287,21 @@ class TestWitness:
         code, out, _ = run_cli(capsys, "witness", "--ballot", "g>a~b")
         assert code == 0
         assert "dimension: 2" in out and "concavity sampling: passed" in out
+
+    def test_over_cap_ballot_is_refused_before_sampling(self, child_env):
+        # Sampling is what imports numpy, so a refusal leaves it unloaded.
+        script = """
+import sys
+from ballot_lattice.cli import main
+code = main(["witness", "--ballot", "a>b>c~d~e~f~g~h~i~j~k~l~m"])
+assert "numpy" not in sys.modules
+raise SystemExit(code)
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=child_env
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: candidate set of size 13 exceeds the relation cap of 12\n"
 
 
 class TestTabulate:
