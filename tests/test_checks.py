@@ -1,4 +1,5 @@
 import copy
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -10,8 +11,10 @@ from ballot_lattice import (
     DisjunctionVerdict,
     OrderRelation,
     RankedBallot,
+    SpatialWitness,
     atoms,
     check_remark1,
+    concave_witness,
     enumerate_ballots,
     format_ballot,
     is_complete,
@@ -394,6 +397,23 @@ class TestClaimBlockFailures:
             assert t3["T3.full"]["verdict"] == "holds"
             assert t3["T3.sub"]["verdict"] == "fails"
             assert t3["T3.sub"]["witness"] == [[pair]]
+
+    def test_misplaced_witness_point_fails_t4(self, monkeypatch):
+        def shifted(ballot):
+            witness = concave_witness(ballot)
+            top = ballot.ranked[0]
+            points = {**witness.points, top: (Fraction(1, 2), 0)}
+            return SpatialWitness(witness.dimension, witness.peak, points)
+
+        monkeypatch.setattr(checks, "concave_witness", shifted)
+        reports, _ = checks._claim_block(parse_ballot("a>b~c"), "a>b~c")
+        t4 = next(report for report in reports if report.claim == "T4")
+        assert t4.verdict == "fails"
+        assert t4.witness == {
+            "issues": [{"candidate": "a", "got": "-1/4", "want": "0"}],
+            "class": "almost_strict",
+            "expected": "almost_strict",
+        }
 
     def test_failed_concavity_sampling_fails_t4(self, monkeypatch):
         sample = {"x": [0.0], "y": [1.0], "lam": 0.5}

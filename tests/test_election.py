@@ -261,6 +261,17 @@ class TestLoadProfile:
         out, err = capsys.readouterr()
         assert out == "" and err.splitlines() == [f"error: {message}"]
 
+    def test_blank_rows_are_skipped(self, tmp_path):
+        plain = load_profile(self.write(tmp_path, "voter_id,rank1,rank2\nv1,a,b\nv2,b,a\nv3,c,\n"))
+        spaced = load_profile(
+            self.write(tmp_path, "voter_id,rank1,rank2\n\nv1,a,b\n\n\nv2,b,a\nv3,c,\n\n")
+        )
+        assert spaced == plain
+        # a later bad row is still named by its line in the file
+        path = self.write(tmp_path, "voter_id,rank1,rank2\nv1,a,b\n\nv2,b,a\n\n\nv3,a,a\n")
+        with pytest.raises(ProfileError, match="line 7: duplicate candidate 'a'"):
+            load_profile(path)
+
     def test_header_only(self, tmp_path):
         path = self.write(tmp_path, "voter_id,rank1\n")
         with pytest.raises(ProfileError, match="no ballots"):
@@ -699,6 +710,10 @@ class TestTruncation:
         ]
         assert found.candidates == bundled.candidates
         assert pair == (1, 2)
+
+    def test_search_without_a_hit_returns_none(self):
+        # one voter never diverges: every length elects that voter's first choice
+        assert find_truncation_sensitive_profile(max_voters=1) is None
 
     def test_search_refuses_a_bare_string(self):
         with pytest.raises(ValueError, match=r"invalid candidates 'abc': expected a collection"):

@@ -401,6 +401,10 @@ class TestConcaveWitness:
         with pytest.raises(ValueError, match="dimension"):
             SpatialWitness(2, (0, 0), {"a": (1,)})
 
+    def test_peak_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="peak dimension mismatch"):
+            SpatialWitness(2, (0,), {"a": (0, 0)})
+
     def test_to_dict_serializes_rationals(self, deep_ballot):
         payload = concave_witness(deep_ballot).to_dict()
         assert payload["points"]["c"] == ["0", "-9/5", "12/5", "0"]
