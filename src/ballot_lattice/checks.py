@@ -282,8 +282,11 @@ def relation_claims(r: OrderRelation, subject: str | None = None) -> list[ClaimR
     return [is_join_semilattice(r, subject), is_modular(r, subject), *check_remark1(r, subject)]
 
 
-def _witness_issues(ballot: RankedBallot, record: PairRecord) -> tuple[list, str]:
-    """Check the spatial witness; returns (issues, rationalizability class)."""
+def _witness_check(ballot: RankedBallot, record: PairRecord) -> tuple:
+    """T4 on one ballot, as ``verify`` and ``witness`` both report it.
+
+    Returns (witness, utilities, their class, concavity report, issues).
+    """
     witness = concave_witness(ballot)
     utilities = witness.utilities()
     k = len(ballot.ranked)
@@ -292,11 +295,10 @@ def _witness_issues(ballot: RankedBallot, record: PairRecord) -> tuple[list, str
         got, want = utilities[c], -min(i, k) ** 2
         if got != want:
             issues.append({"candidate": c, "got": str(got), "want": str(want)})
-    cls = rationalizability_class(utilities, record)
     report = verify_concavity(witness)
     if not report.ok:
         issues.append({"concavity": report.witness})
-    return issues, cls
+    return witness, utilities, rationalizability_class(utilities, record), report, issues
 
 
 def _claim_block(ballot: RankedBallot, subject: str) -> tuple[list[ClaimReport], None]:
@@ -331,7 +333,7 @@ def _claim_block(ballot: RankedBallot, subject: str) -> tuple[list[ClaimReport],
         reports.append(ClaimReport("T3.full", subject, VACUOUS))
         reports.append(ClaimReport("T3.sub", subject, VACUOUS))
 
-    issues, got_class = _witness_issues(ballot, record)
+    _, _, got_class, _, issues = _witness_check(ballot, record)
     t4 = {"issues": issues, "class": got_class, "expected": expected_class}
     reports.append(ClaimReport.of("T4", subject, not issues and got_class == expected_class, t4))
     return reports, None

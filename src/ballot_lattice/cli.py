@@ -15,7 +15,7 @@ import os
 import re
 import sys
 
-from .checks import relation_claims
+from .checks import _witness_check, relation_claims
 from .election import (
     load_profile,
     tabulate_irv,
@@ -46,11 +46,8 @@ from .order import (
 from .representation import (
     _disjunction,
     canonical_utility,
-    concave_witness,
     pair_record,
-    rationalizability_class,
     subrecord_verdicts,
-    verify_concavity,
 )
 
 __all__ = ["main"]
@@ -228,6 +225,11 @@ def _cmd_enumerate(args) -> tuple:
 
 def _cmd_theorem3(args) -> tuple:
     ballot = args.ballot
+    # The record is the ballot's own, so it is empty exactly when there is one candidate.
+    if len(ballot.candidates) == 1:
+        raise ValueError(
+            f"ballot {format_ballot(ballot)!r} has one candidate, so its record is empty"
+        )
     if args.all_subsets:
         counts = {"disjunct1": 0, "disjunct2": 0, "fails": 0}
         fails_all_unranked = 0
@@ -263,13 +265,7 @@ def _cmd_theorem3(args) -> tuple:
 
         return payload, render
 
-    # The record is the ballot's own, so it is empty only for one candidate.
-    pairs = pair_record(ballot).pairs
-    if not pairs:
-        raise ValueError(
-            f"ballot {format_ballot(ballot)!r} has one candidate, so its record is empty"
-        )
-    verdict = _disjunction(ballot, pairs)
+    verdict = _disjunction(ballot, pair_record(ballot).pairs)
     payload = {
         "ballot": format_ballot(ballot),
         "mode": "full",
@@ -289,14 +285,12 @@ def _cmd_theorem3(args) -> tuple:
 def _cmd_witness(args) -> tuple:
     ballot = args.ballot
     record = pair_record(ballot)  # checks the relation cap before anything is sampled
-    witness = concave_witness(ballot)
-    utilities = witness.utilities()
-    concavity = verify_concavity(witness)
+    witness, utilities, rationalizability, concavity, _ = _witness_check(ballot, record)
     payload = {
         "ballot": format_ballot(ballot),
         "witness": witness.to_dict(),
         "utilities": utilities.to_dict(),
-        "rationalizability": rationalizability_class(utilities, record),
+        "rationalizability": rationalizability,
         "concavity": concavity.to_dict(),
     }
 

@@ -409,15 +409,14 @@ class ConcavityReport:
 def verify_concavity(witness: SpatialWitness) -> ConcavityReport:
     """Sample convex combinations and re-check both concavity inequalities.
 
-    Draws 1,000 pairs of distinct points from the convex hull of the
-    embedding, always from the same seed; each trial checks the
-    strict-concavity and strict-quasiconcavity inequalities at a sampled
-    lambda and at the midpoint, with 1e-9 of slack on the comparisons.
-    Draws whose endpoints coincide in floating point are rejected and
-    resampled; an embedding whose points all coincide in floating point
-    has no distinct pairs, and like a single point reports ok after 0
-    trials.  The quadratic rule is concave analytically; this is a
-    floating-point sanity check, not the argument.
+    Draws 1,000 pairs of points from the convex hull of the embedding, and
+    a lambda for each, in one batch from a fixed seed; each trial checks
+    the strict-concavity and strict-quasiconcavity inequalities at its
+    lambda and at the midpoint, with 1e-9 of slack.  No draw is resampled:
+    at coincident endpoints or lambda 0 both margins are non-negative up
+    to rounding.  Points that all round to one report ok after 0 trials.
+    ``verify``'s T4 and ``witness`` both report this check; the quadratic
+    rule is concave analytically, so it is a floating-point sanity check.
     """
     # Deferred so that every command that never samples starts without numpy.
     import numpy as np
@@ -429,43 +428,36 @@ def verify_concavity(witness: SpatialWitness) -> ConcavityReport:
         return ConcavityReport(True, 0)
     peak = np.array([float(v) for v in witness.peak])
     rng = np.random.default_rng(0)
-    trials = _CONCAVITY_TRIALS
+    weights = rng.dirichlet(np.ones(len(names)), size=(_CONCAVITY_TRIALS, 2))
+    lam = rng.uniform(size=_CONCAVITY_TRIALS)
+    x = weights[:, 0, :] @ pts
+    y = weights[:, 1, :] @ pts
 
     def utility(z):
         d = z - peak
         return -(d * d).sum(axis=1)
 
-    done = 0
-    while done < trials:
-        batch = trials - done
-        weights = rng.dirichlet(np.ones(len(names)), size=(batch, 2))
-        lam = np.clip(rng.uniform(size=batch), 1e-9, 1 - 1e-9)
-        x = weights[:, 0, :] @ pts
-        y = weights[:, 1, :] @ pts
-        keep = (x != y).any(axis=1)
-        x, y, lam = x[keep], y[keep], lam[keep]
-        ux, uy = utility(x), utility(y)
-        for lam_vec in (lam, np.full_like(lam, 0.5)):
-            mix = x * lam_vec[:, None] + y * (1 - lam_vec)[:, None]
-            umix = utility(mix)
-            concave_margin = umix - (lam_vec * ux + (1 - lam_vec) * uy)
-            quasi_margin = umix - np.minimum(ux, uy)
-            bad = (concave_margin <= -1e-9) | (quasi_margin <= -1e-9)
-            if bad.any():
-                i = int(np.argmax(bad))
-                return ConcavityReport(
-                    False,
-                    done + i + 1,
-                    {
-                        "x": x[i].tolist(),
-                        "y": y[i].tolist(),
-                        "lam": float(lam_vec[i]),
-                        "concavity_margin": float(concave_margin[i]),
-                        "quasiconcavity_margin": float(quasi_margin[i]),
-                    },
-                )
-        done += len(lam)
-    return ConcavityReport(True, trials)
+    ux, uy = utility(x), utility(y)
+    for lam_vec in (lam, np.full_like(lam, 0.5)):
+        mix = x * lam_vec[:, None] + y * (1 - lam_vec)[:, None]
+        umix = utility(mix)
+        concave_margin = umix - (lam_vec * ux + (1 - lam_vec) * uy)
+        quasi_margin = umix - np.minimum(ux, uy)
+        bad = (concave_margin <= -1e-9) | (quasi_margin <= -1e-9)
+        if bad.any():
+            i = int(np.argmax(bad))
+            return ConcavityReport(
+                False,
+                i + 1,
+                {
+                    "x": x[i].tolist(),
+                    "y": y[i].tolist(),
+                    "lam": float(lam_vec[i]),
+                    "concavity_margin": float(concave_margin[i]),
+                    "quasiconcavity_margin": float(quasi_margin[i]),
+                },
+            )
+    return ConcavityReport(True, _CONCAVITY_TRIALS)
 
 
 def rationalizability_class(u: UtilityAssignment, record: PairRecord) -> str:

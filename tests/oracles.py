@@ -12,6 +12,7 @@ reference loader builds a fresh ballot for every voter.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -22,7 +23,6 @@ from ballot_lattice.checks import (
     SUBRECORD_SWEEP_MAX_N,
     VACUOUS,
     ClaimReport,
-    _witness_issues,
     check_remark1,
     relation_claims,
 )
@@ -42,6 +42,7 @@ from ballot_lattice.order import (
 )
 from ballot_lattice.representation import (
     canonical_utility,
+    concave_witness,
     is_representation,
     is_submodular,
     pair_record,
@@ -202,6 +203,49 @@ def closed_form_count(n: int) -> int:
     return sum(fact(n) // fact(n - k) for k in range(1, n + 1)) - fact(n)
 
 
+def naive_class(utility, pairs) -> str:
+    """The rationalizability class of ``utility`` on the weak-preference ``pairs``, written out."""
+    if any(utility[x] < utility[y] for x, y in pairs):
+        return "none"
+    ties = [(x, y) for x, y in pairs if utility[x] == utility[y]]
+    if not ties:
+        return "strict"
+    if all((y, x) in pairs for x, y in ties):
+        return "almost_strict"
+    return "rationalizable"
+
+
+def naive_witness_issues(ballot: RankedBallot, record) -> tuple[list, str]:
+    """T4's issues and class for the ballot's spatial witness, from definitions.
+
+    Slot ``i`` (the ranked chain, then the sorted tail) must have utility
+    ``-min(i, k)^2``.  Concavity is checked exactly, not sampled: for
+    ``u(z) = -|z - peak|^2`` and every pair of distinct embedded points,
+    ``u(lx + (1-l)y) - l u(x) - (1-l) u(y)`` must equal ``l(1-l)|x - y|^2``
+    and be positive, for ``l`` of 1/2 and 1/3.
+    """
+    witness = concave_witness(ballot)
+    k = len(ballot.ranked)
+    slots = [*ballot.ranked, *sorted(ballot.unranked)]
+    utility = {c: witness.utility(c) for c in slots}
+    issues = []
+    for i, c in enumerate(slots):
+        want = -min(i, k) ** 2
+        if utility[c] != want:
+            issues.append({"candidate": c, "got": str(utility[c]), "want": str(want)})
+
+    def u(z):
+        return -sum((a - b) ** 2 for a, b in zip(z, witness.peak))
+
+    for x, y in combinations(sorted(witness.points.values()), 2):
+        ux, uy, dist = u(x), u(y), sum((a - b) ** 2 for a, b in zip(x, y))
+        for lam in (Fraction(1, 2), Fraction(1, 3)):
+            gap = u([lam * a + (1 - lam) * b for a, b in zip(x, y)]) - lam * ux - (1 - lam) * uy
+            if gap != lam * (1 - lam) * dist or gap <= 0:
+                issues.append({"concavity": {"x": x, "y": y, "lam": lam, "gap": gap}})
+    return issues, naive_class(utility, record.pairs)
+
+
 def direct_verify(n: int) -> VerificationSummary:
     """The claim sweep with every census ballot evaluated on its own.
 
@@ -245,7 +289,7 @@ def direct_verify(n: int) -> VerificationSummary:
             stats["T3.full"].record(VACUOUS, subject)
             stats["T3.sub"].record(VACUOUS, subject)
 
-        issues, got_class = _witness_issues(ballot, record)
+        issues, got_class = naive_witness_issues(ballot, record)
         if not issues and got_class == expected_class:
             stats["T4"].record(HOLDS, subject)
         else:

@@ -10,7 +10,17 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ballot_lattice import cli, fixture_path, load_profile, profile_report
+from ballot_lattice import (
+    ConcavityReport,
+    DisjunctionVerdict,
+    checks,
+    cli,
+    fixture_path,
+    load_profile,
+    parse_ballot,
+    profile_report,
+    subrecord_verdicts,
+)
 from ballot_lattice.cli import main
 from ballot_lattice.order import OrderRelation
 
@@ -222,6 +232,13 @@ class TestTheorem3:
             assert (code, out) == (1, "")
             assert err == "error: ballot 'a' has one candidate, so its record is empty\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("mode", ["--full", "--all-subsets"])
+    def test_one_candidate_is_refused_in_both_modes(self, capsys, mode, fmt):
+        code, out, err = run_cli(capsys, "theorem3", mode, "--ballot", "a", "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == "error: ballot 'a' has one candidate, so its record is empty\n"
+
     def test_full_is_the_default(self, capsys):
         code, out, _ = run_cli(capsys, "theorem3", "--ballot", "p>q>r", "--format", "json")
         assert code == 0
@@ -243,6 +260,24 @@ class TestTheorem3:
         )
         assert code == 0 and err == ""
         assert len(relation_builds) == 1
+
+    def test_all_subsets_lists_the_first_ten_unexpected_failures(self, capsys, monkeypatch):
+        subrecords = [chosen for chosen, _ in subrecord_verdicts(parse_ballot("a>b~c~d"))][:12]
+        failing = DisjunctionVerdict("fails", None, False)
+        monkeypatch.setattr(
+            cli, "subrecord_verdicts", lambda ballot: ((chosen, failing) for chosen in subrecords)
+        )
+        argv = ["theorem3", "--all-subsets", "--ballot", "a>b~c~d"]
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["total_subrecords"] == 12
+        assert payload["counts"] == {"disjunct1": 0, "disjunct2": 0, "fails": 12}
+        assert payload["fails_all_unranked"] == 0
+        assert payload["unexpected_failures"] == [[list(p) for p in c] for c in subrecords[:10]]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == f"unexpected failures: {payload['unexpected_failures']}"
 
     def test_all_subsets_cap(self, capsys):
         code, _, err = run_cli(
@@ -287,6 +322,18 @@ class TestWitness:
         code, out, _ = run_cli(capsys, "witness", "--ballot", "g>a~b")
         assert code == 0
         assert "dimension: 2" in out and "concavity sampling: passed" in out
+
+    def test_prints_the_census_witness_check(self, capsys, monkeypatch):
+        # ``witness`` and T4 read one evaluation, so a failed sampling shows in both.
+        sample = {"x": [0.0], "y": [1.0], "lam": 0.5}
+        failed = ConcavityReport(False, 1, sample)
+        monkeypatch.setattr(checks, "verify_concavity", lambda witness: failed)
+        reports, _ = checks._claim_block(parse_ballot("g>a~b"), "g>a~b")
+        t4 = next(report for report in reports if report.claim == "T4")
+        assert t4.verdict == "fails" and t4.witness["issues"] == [{"concavity": sample}]
+        code, out, err = run_cli(capsys, "witness", "--ballot", "g>a~b", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["concavity"] == {"ok": False, "trials": 1, "witness": sample}
 
     def test_over_cap_ballot_is_refused_before_sampling(self, child_env):
         # Sampling is what imports numpy, so a refusal leaves it unloaded.

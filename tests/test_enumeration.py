@@ -9,6 +9,7 @@ from ballot_lattice import checks, representation
 from ballot_lattice import (
     CLAIM_REGISTRY,
     ClaimReport,
+    ClaimStats,
     MAX_ENUMERATION_CANDIDATES,
     RankedBallot,
     ballot_count,
@@ -236,6 +237,14 @@ class TestExhaustiveVerify:
         assert summary.ok
         assert summary.claim("T3.sub").holds == ballot_count(4)
         assert 0 < len(relation_builds) <= 4 * ballot_count(4)
+
+
+class TestClaimStats:
+    def test_unknown_verdict_is_refused(self):
+        stats = ClaimStats("T1", *CLAIM_REGISTRY["T1"])
+        with pytest.raises(ValueError, match=r"^unknown verdict 'maybe'$"):
+            stats.record("maybe", "a>b")
+        assert (stats.holds, stats.fails, stats.vacuous, stats.witnesses) == (0, 0, 0, [])
 
 
 class TestCensusQuotient:

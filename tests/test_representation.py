@@ -46,6 +46,13 @@ class TestCanonicalUtility:
         }
 
 
+class TestUtilityAssignment:
+    def test_membership_reads_the_candidates(self):
+        u = canonical_utility(parse_ballot("a>b~c"))
+        assert "a" in u
+        assert "z" not in u
+
+
 class TestRepresentation:
     def test_canonical_is_a_representation(self, deep_ballot, deep_relation):
         assert is_representation(canonical_utility(deep_ballot), deep_relation)
