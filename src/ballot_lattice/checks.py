@@ -16,6 +16,7 @@ from .order import (
     OrderRelation,
     RankedBallot,
     _first_pair,
+    _positions,
     _slots,
     _strictly_incomparable,
     atoms,
@@ -289,10 +290,9 @@ def _witness_check(ballot: RankedBallot, record: PairRecord) -> tuple:
     """
     witness = concave_witness(ballot)
     utilities = witness.utilities()
-    k = len(ballot.ranked)
     issues = []
-    for i, c in enumerate(_slots(ballot)):
-        got, want = utilities[c], -min(i, k) ** 2
+    for c, p in _positions(ballot).items():
+        got, want = utilities[c], -p ** 2
         if got != want:
             issues.append({"candidate": c, "got": str(got), "want": str(want)})
     report = verify_concavity(witness)

@@ -14,8 +14,9 @@ once on construction, the sets of candidates strictly above and strictly
 below each candidate; joins, meets and covers read those sets.  Once on
 first use, it also derives its first transitivity gap, its table of joins
 and its set of covers, and every classifier and claim reads those.
-Every collection of candidate ids is read by ``_candidate_ids``, and every
-slot order (the ranked chain, then the sorted unranked tail) is ``_slots``.
+Every collection of candidate ids is read by ``_candidate_ids``, every
+slot order (the ranked chain, then the sorted unranked tail) is ``_slots``,
+and every candidate's position on a ballot is ``_positions``.
 """
 
 from __future__ import annotations
@@ -240,6 +241,13 @@ def _slots(ballot: RankedBallot) -> tuple[str, ...]:
     return ballot.ranked + tuple(sorted(ballot.unranked))
 
 
+def _positions(ballot: RankedBallot) -> dict[str, int]:
+    """Each candidate's position, in slot order: ranked candidate ``i`` sits at
+    ``i`` and every unranked candidate at ``len(ranked)``, tied at the bottom."""
+    k = len(ballot.ranked)
+    return {c: i for i, c in enumerate(ballot.ranked)} | dict.fromkeys(sorted(ballot.unranked), k)
+
+
 def format_ballot(ballot: RankedBallot) -> str:
     """Canonical text for a ballot; inverse of :func:`parse_ballot`."""
     text = ">".join(ballot.ranked)
@@ -374,20 +382,16 @@ class OrderRelation:
 def relation_of(ballot: RankedBallot) -> OrderRelation:
     """The weak order a ballot induces.
 
-    ``x`` is weakly above ``y`` exactly when its position is no later,
-    every unranked candidate sitting at position ``len(ranked)``: a ranked
-    candidate is strictly above every later-ranked and every unranked
-    candidate, and unranked candidates are mutually tied.  The result is
-    complete by construction.  The ballot's ids were checked when it was
-    built, so only the relation cap is checked here.
+    ``x`` is weakly above ``y`` exactly when its position (``_positions``)
+    is no later: a ranked candidate is strictly above every later-ranked
+    and every unranked candidate, and unranked candidates are mutually
+    tied.  The result is complete by construction.  The ballot's ids were
+    checked when it was built, so only the relation cap is checked here.
     """
     cands = ballot.candidates
     _check_relation_cap(len(cands))
-    rank = {c: i for i, c in enumerate(ballot.ranked)}
-    k = len(ballot.ranked)
-    pairs = frozenset(
-        (x, y) for x in cands for y in cands if rank.get(x, k) <= rank.get(y, k)
-    )
+    pos = _positions(ballot).items()
+    pairs = frozenset((x, y) for x, px in pos for y, py in pos if px <= py)
     return object.__new__(OrderRelation)._settle(tuple(sorted(cands)), pairs)
 
 

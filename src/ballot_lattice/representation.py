@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Any, Iterable, Iterator, Mapping
 
-from .order import OrderRelation, RankedBallot, _ids, _pair, _slots, join, meet, relation_of
+from .order import OrderRelation, RankedBallot, _ids, _pair, _positions, _slots, join, meet, relation_of
 
 __all__ = [
     "ALL_SUBSETS_CAP",
@@ -62,17 +62,13 @@ class UtilityAssignment:
 
 
 def canonical_utility(ballot: RankedBallot) -> UtilityAssignment:
-    """Integer utilities k..1 down the ranking, 0 for every unranked candidate.
+    """Integer utility ``k - position`` (``order._positions``), ``k`` the ranked count.
 
-    Strictly decreasing along the chain and constant on the tail, so the
-    assignment mirrors the ballot exactly while staying integer-valued.
+    That is k..1 down the ranking and 0 on the tail: strictly decreasing in
+    position, so it mirrors the ballot exactly while staying integer-valued.
     """
     k = len(ballot.ranked)
-    values: dict[str, Fraction] = {
-        c: Fraction(k - i) for i, c in enumerate(ballot.ranked)
-    }
-    values.update({c: Fraction(0) for c in ballot.unranked})
-    return UtilityAssignment(values)
+    return UtilityAssignment({c: k - p for c, p in _positions(ballot).items()})
 
 
 def is_representation(u: UtilityAssignment, r: OrderRelation) -> bool:
@@ -353,8 +349,9 @@ def _circle_points(count: int, radius: Fraction) -> list[tuple[Fraction, Fractio
 def concave_witness(ballot: RankedBallot) -> SpatialWitness:
     """Build the spatial witness for a ballot.
 
-    Rank ``i`` sits at distance ``i - 1`` from the peak along axis 1, so
-    its utility is ``-(i - 1)^2``; the ``m`` unranked candidates sit at
+    Each candidate sits at distance equal to its position
+    (``order._positions``) from the peak, so its utility is ``-position^2``:
+    ranked candidates along axis 1, and the ``m`` unranked candidates at
     distinct rational points at common distance ``k`` (the ranked count)
     in the remaining axes, an antipodal pair when ``m == 2`` and points on
     a circle otherwise.  A genuinely regular simplex has no all-rational
@@ -393,14 +390,11 @@ _CONCAVITY_TRIALS = 1000
 
 @dataclass(frozen=True)
 class ConcavityReport:
-    """Outcome of sampled concavity checks; truthy when every trial passed."""
+    """Outcome of sampled concavity checks."""
 
     ok: bool
     trials: int
     witness: dict | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
     def to_dict(self) -> dict:
         return {"ok": self.ok, "trials": self.trials, "witness": self.witness}

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from ballot_lattice import checks, representation
+from ballot_lattice.order import _slots
 from ballot_lattice import (
     CLAIM_REGISTRY,
     ClaimReport,
@@ -259,6 +260,18 @@ class TestCensusQuotient:
         # checks that the T4 result is carried by shape whatever it is.
         monkeypatch.setattr(representation, "_CONCAVITY_TRIALS", trials)
         assert exhaustive_verify(n).to_dict() == oracles.direct_verify(n).to_dict()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_slot_map_carries_the_relation_within_a_shape(self, n):
+        # The carry's premise, checked on the relations themselves: slot i of
+        # a shape's first ballot to slot i of any ballot of that shape maps
+        # one relation's pairs exactly onto the other's.
+        first = {}
+        for ballot in enumerate_ballots(default_candidates(n)):
+            shape = (len(ballot.ranked), len(ballot.unranked))
+            source, pairs = first.setdefault(shape, (ballot, relation_of(ballot).pairs))
+            phi = dict(zip(_slots(source), _slots(ballot)))
+            assert {(phi[x], phi[y]) for x, y in pairs} == relation_of(ballot).pairs
 
     def test_relation_built_at_most_twice_per_shape(self, relation_builds):
         summary = exhaustive_verify(6)

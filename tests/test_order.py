@@ -3,6 +3,7 @@ import pickle
 import random
 import re
 import string
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,7 +16,9 @@ from ballot_lattice import (
     OrderRelation,
     RankedBallot,
     atoms,
+    canonical_utility,
     coatoms,
+    concave_witness,
     covers,
     default_candidates,
     enumerate_ballots,
@@ -39,7 +42,7 @@ from ballot_lattice import (
     relation_claims,
     relation_of,
 )
-from ballot_lattice.order import transitivity_gap
+from ballot_lattice.order import _positions, transitivity_gap
 
 
 ID_CHARS = string.ascii_letters + string.digits + "_"
@@ -277,6 +280,52 @@ class TestRelationOf:
         for build in (relation_of, pair_record, lambda b: OrderRelation(sorted(b.candidates), ())):
             with pytest.raises(ValueError, match=message):
                 build(ballot)
+
+
+class TestPositions:
+    """A ballot is its positions: the weak order and both utilities read them."""
+
+    @staticmethod
+    def assert_read_from_positions(ballot):
+        k = len(ballot.ranked)
+        # Written out from the definition: the rank index, or k for the tail.
+        want = {c: ballot.ranked.index(c) if c in ballot.ranked else k for c in ballot.candidates}
+        pos = _positions(ballot)
+        assert pos == want
+        assert list(pos) == [*ballot.ranked, *sorted(ballot.unranked)]
+        cands = sorted(ballot.candidates)
+        assert relation_of(ballot).pairs == {
+            (x, y) for x in cands for y in cands if want[x] <= want[y]
+        }
+        assert canonical_utility(ballot).values == {c: Fraction(k - want[c]) for c in cands}
+        assert concave_witness(ballot).utilities().values == {
+            c: Fraction(-want[c] ** 2) for c in cands
+        }
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_census(self, n):
+        for ballot in enumerate_ballots(default_candidates(n)):
+            self.assert_read_from_positions(ballot)
+
+    def test_seeded_ballots_up_to_the_cap(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            cands = [f"c{i}" for i in range(rng.randint(8, 12))]
+            rng.shuffle(cands)
+            k = rng.randint(1, len(cands))
+            self.assert_read_from_positions(RankedBallot(tuple(cands[:k]), frozenset(cands[k:])))
+
+    def test_slot_order_under_every_hash_seed(self, stderr_by_hash_seed):
+        head = (
+            "import sys; from ballot_lattice import parse_ballot; "
+            "from ballot_lattice.order import _positions; "
+            "b = parse_ballot('m>b>k~a~j~c~l~d'); "
+        )
+        # The tail's set order does change with the seed, so slot order is not luck.
+        assert len(stderr_by_hash_seed(head + "print(list(b.unranked), file=sys.stderr)")) > 1
+        assert stderr_by_hash_seed(head + "print(list(_positions(b).items()), file=sys.stderr)") == {
+            "[('m', 0), ('b', 1), ('a', 2), ('c', 2), ('d', 2), ('j', 2), ('k', 2), ('l', 2)]"
+        }
 
 
 # ---------------------------------------------------------------------------

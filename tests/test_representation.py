@@ -362,6 +362,49 @@ class TestSubrecordVerdicts:
         assert verdict == theorem3_check(ballot, PairRecord(frozenset(chosen)))
 
 
+# One ballot per shape on 1..5 candidates, each with its positions written out:
+# the rank index for ranked candidates, the ranked count for the tail.
+T3_SHAPE_POSITIONS = {
+    "a": {"a": 0},
+    "a>b": {"a": 0, "b": 1},
+    "a>b>c": {"a": 0, "b": 1, "c": 2},
+    "a>b~c": {"a": 0, "b": 1, "c": 1},
+    "a>b>c>d": {"a": 0, "b": 1, "c": 2, "d": 3},
+    "a>b>c~d": {"a": 0, "b": 1, "c": 2, "d": 2},
+    "a>b~c~d": {"a": 0, "b": 1, "c": 1, "d": 1},
+    "a>b>c>d>e": {"a": 0, "b": 1, "c": 2, "d": 3, "e": 4},
+    "a>b>c>d~e": {"a": 0, "b": 1, "c": 2, "d": 3, "e": 3},
+    "a>b>c~d~e": {"a": 0, "b": 1, "c": 2, "d": 2, "e": 2},
+    "a>b~c~d~e": {"a": 0, "b": 1, "c": 1, "d": 1, "e": 1},
+}
+
+
+def test_every_shape_through_five_candidates_is_listed():
+    shapes = {
+        (len(b.ranked), len(b.unranked))
+        for n in range(1, 6)
+        for b in enumerate_ballots([f"c{i}" for i in range(n)])
+    }
+    listed = {(len(b.ranked), len(b.unranked)) for b in map(parse_ballot, T3_SHAPE_POSITIONS)}
+    assert listed == shapes
+
+
+@pytest.mark.parametrize("text", T3_SHAPE_POSITIONS)
+def test_t3_sweep_facts_by_position(text):
+    # The record is exactly the pairs whose source sits no later, and a
+    # sub-record fails exactly when every member sits in the unranked tail.
+    ballot = parse_ballot(text)
+    pos = T3_SHAPE_POSITIONS[text]
+    assert pair_record(ballot).pairs == {
+        (x, y) for x in pos for y in pos if x != y and pos[x] <= pos[y]
+    }
+    tail = len(ballot.ranked)
+    for chosen, verdict in subrecord_verdicts(ballot):
+        all_unranked = all(pos[c] == tail for pair in chosen for c in pair)
+        assert verdict.all_unranked == all_unranked
+        assert verdict.ok != all_unranked
+
+
 class TestConcaveWitness:
     def test_total_order_line_embedding(self):
         witness = concave_witness(parse_ballot("p>q>r"))
