@@ -130,7 +130,9 @@ def carry_or_evaluate(
     (:func:`_shape_plan`) of its first ballot's reports, with that
     evaluation's shape-invariant extra.  Every ballot of a planned shape,
     the first included, gets fresh rows in :meth:`ClaimReport.to_dict` form
-    from the plan and its own slots, so no two rows share a mutable object.
+    from the plan and its own slots (:func:`_carried`), as ``profile_report``
+    reads them.  The census (``exhaustive_verify``) reads the plan instead: it
+    counts a shape's verdicts once and builds only each ballot's failing witnesses.
     Each ballot of a shape without a plan is evaluated directly.
     """
     shape = (len(ballot.ranked), len(ballot.unranked))
@@ -144,13 +146,18 @@ def carry_or_evaluate(
         if plan is None:
             return [report.to_dict() for report in reports], extra
     return [
-        {"claim": claim, "subject": subject, "verdict": verdict, "witness": witness and {
-            **witness,
-            **{k: list(witness[k]) for k in lists},
-            key: sorted([slots[i] for i in positions]),
-        }}
-        for claim, verdict, witness, key, positions, lists in plan
+        {"claim": claim, "subject": subject, "verdict": verdict,
+         "witness": carry and _carried(slots, *carry)}
+        for claim, verdict, carry in plan
     ], extra
+
+
+def _carried(slots: tuple, witness: dict, key: str, positions: tuple, lists: tuple) -> dict:
+    """A plan's ``witness`` on the ballot with ``slots``: ``key`` mapped, ``lists`` copied."""
+    carried = {**witness, key: sorted(map(slots.__getitem__, positions))}
+    for k in lists:
+        carried[k] = list(witness[k])
+    return carried
 
 
 def _shape_plan(slots: tuple[str, ...], reports: list[ClaimReport]) -> list[tuple] | None:
@@ -170,15 +177,14 @@ def _shape_plan(slots: tuple[str, ...], reports: list[ClaimReport]) -> list[tupl
     chosen by label order or not mapped by slot, so there is no plan (None)
     and every ballot of the shape is evaluated directly.
 
-    Each entry is ``(claim, verdict, witness, key, positions, lists)``: a
-    carried witness's ``key`` list reads the slots at ``positions``, and its
-    other list fields ``lists`` are copied.
+    Each entry is ``(claim, verdict, carry)``: ``carry`` is None for a report
+    without a witness, else ``(witness, key, positions, lists)``, which
+    :func:`_carried` reads.
     """
     index = {c: i for i, c in enumerate(slots)}
     plan = []
     for report in reports:
-        witness = report.witness
-        key, positions, lists = None, (), ()
+        witness, carry = report.witness, None
         if witness is not None:
             kind = witness.get("kind") if isinstance(witness, dict) else None
             key = "pair" if kind == "not_totally_ordered" else "elements"
@@ -186,7 +192,8 @@ def _shape_plan(slots: tuple[str, ...], reports: list[ClaimReport]) -> list[tupl
                 return None
             positions = tuple(index[c] for c in witness[key])
             lists = tuple(k for k, v in witness.items() if isinstance(v, list) and k != key)
-        plan.append((report.claim, report.verdict, witness, key, positions, lists))
+            carry = (witness, key, positions, lists)
+        plan.append((report.claim, report.verdict, carry))
     return plan
 
 

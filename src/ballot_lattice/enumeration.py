@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Iterable, Iterator
 
-from .checks import CLAIM_REGISTRY, FAILS, HOLDS, VACUOUS, _claim_block, carry_or_evaluate
-from .order import RankedBallot, _candidate_ids, _exact_int, _settled, format_ballot
+from .checks import CLAIM_REGISTRY, FAILS, HOLDS, VACUOUS, _carried, _claim_block, carry_or_evaluate
+from .order import RankedBallot, _candidate_ids, _exact_int, _settled, _slots, format_ballot
 
 __all__ = [
     "MAX_ENUMERATION_CANDIDATES",
@@ -87,13 +87,18 @@ class ClaimStats:
     witnesses: list = field(default_factory=list)
 
     def record(self, verdict: str, subject: str, witness=None) -> None:
-        if verdict == HOLDS:
-            self.holds += 1
-        elif verdict == FAILS:
-            self.fails += 1
+        self._add(verdict, 1)
+        if verdict == FAILS:
             self.witnesses.append({"subject": subject, "witness": witness})
+
+    def _add(self, verdict: str, times: int) -> None:
+        """Count ``times`` verdicts; a failing one's witnesses are appended by the caller."""
+        if verdict == HOLDS:
+            self.holds += times
+        elif verdict == FAILS:
+            self.fails += times
         elif verdict == VACUOUS:
-            self.vacuous += 1
+            self.vacuous += times
         else:
             raise ValueError(f"unknown verdict {verdict!r}")
 
@@ -147,10 +152,12 @@ def exhaustive_verify(n: int) -> VerificationSummary:
     The claims are decided by the claim block of
     :mod:`ballot_lattice.checks`.  Every claim is a property of a ballot's
     relation up to relabeling, so each shape (ranked count, unranked count)
-    is checked once, on its first census ballot, and every ballot of the
-    shape reads its report rows from that shape's positional plan
-    (:func:`~ballot_lattice.checks.carry_or_evaluate`); the ballots of a
-    shape whose witnesses cannot be carried are each checked directly.
+    is checked once, on its first census ballot, into a positional plan
+    (:func:`~ballot_lattice.checks.carry_or_evaluate`).  A planned shape's
+    verdicts are counted once, per shape, and each of its ballots builds
+    only the plan's failing witnesses, mapped through its own slots
+    (``profile_report`` still gets every row); the ballots of a shape whose
+    witnesses cannot be carried are each checked directly.
     T4's concavity sampling therefore runs once per shape.
 
     The record-disjunction claims (``T3.*``) run only for
@@ -166,11 +173,27 @@ def exhaustive_verify(n: int) -> VerificationSummary:
     }
     candidates = default_candidates(n)
     shapes: dict = {}
+    failing: dict = {}  # each planned shape's failing plan entries, with their claim's stats
+    sizes: dict = {}  # each planned shape's census ballots
     count = 0
     for ballot in enumerate_ballots(candidates):
         count += 1
-        subject = format_ballot(ballot)
-        rows, _ = carry_or_evaluate(shapes, ballot, subject, _claim_block)
-        for row in rows:
-            stats[row["claim"]].record(row["verdict"], subject, row["witness"])
+        shape = (len(ballot.ranked), len(ballot.unranked))
+        if shape not in failing:
+            subject = format_ballot(ballot)
+            rows, _ = carry_or_evaluate(shapes, ballot, subject, _claim_block)
+            if shapes[shape][0] is None:
+                for row in rows:
+                    stats[row["claim"]].record(row["verdict"], subject, row["witness"])
+                continue
+            failing[shape] = [(stats[c], carry) for c, v, carry in shapes[shape][0] if v == FAILS]
+        sizes[shape] = sizes.get(shape, 0) + 1
+        if failing[shape]:
+            subject, slots = format_ballot(ballot), _slots(ballot)
+            for tally, carry in failing[shape]:
+                witness = carry and _carried(slots, *carry)
+                tally.witnesses.append({"subject": subject, "witness": witness})
+    for shape, size in sizes.items():
+        for claim, verdict, _ in shapes[shape][0]:
+            stats[claim]._add(verdict, size)
     return VerificationSummary(len(candidates), count, list(stats.values()))

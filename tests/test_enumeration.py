@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import oracles
-from ballot_lattice import checks, representation
-from ballot_lattice.order import _slots
+from test_checks import mutable_parts
+from ballot_lattice import checks, enumeration, representation
+from ballot_lattice.order import _slots, meet_irreducibles
 from ballot_lattice import (
     CLAIM_REGISTRY,
     ClaimReport,
@@ -20,6 +21,7 @@ from ballot_lattice import (
     format_ballot,
     is_complete,
     is_top_truncated,
+    parse_ballot,
     relation_of,
 )
 
@@ -301,3 +303,87 @@ class TestCensusQuotient:
         assert evaluated == census
         assert [w["subject"] for w in t1.witnesses] == census
         assert not summary.ok and summary.must_failures == ["T1"]
+
+
+def force_r13(monkeypatch, verdict):
+    """Make R1.3 report ``verdict`` on every relation of a ballot ranking two or more.
+
+    A failing report carries the relation's meet-irreducible elements, an
+    ``elements`` witness that a shape's plan maps through each ballot's slots.
+    The oracle's direct sweep reads the same patch.
+    """
+    real = checks.relation_claims
+
+    def forced(rel, subject):
+        reports = real(rel, subject)
+        assert reports[4].claim == "R1.3"
+        if len(parse_ballot(subject).ranked) >= 2:
+            witness = {"kind": "forced", "elements": sorted(meet_irreducibles(rel))}
+            reports[4] = ClaimReport("R1.3", subject, verdict, witness)
+        return reports
+
+    monkeypatch.setattr(checks, "relation_claims", forced)
+    monkeypatch.setattr(oracles, "relation_claims", forced)
+
+
+class TestCensusTally:
+    """A planned shape's verdicts are counted once; its ballots map only failing witnesses."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_counts_and_witnesses_agree(self, n):
+        summary = exhaustive_verify(n)
+        ballots = enumerate_ballots(default_candidates(n))
+        census = {format_ballot(b): i for i, b in enumerate(ballots)}
+        parts = []
+        for stats in summary.claims:
+            assert stats.holds + stats.fails + stats.vacuous == ballot_count(n), stats.claim
+            assert stats.fails == len(stats.witnesses), stats.claim
+            order = [census[w["subject"]] for w in stats.witnesses]
+            assert order == sorted(set(order)), stats.claim
+            for witness in stats.witnesses:
+                parts += mutable_parts(witness)
+        assert len(parts) == len(set(parts))
+
+    def test_a_carried_failure_matches_the_direct_sweep(self, monkeypatch):
+        force_r13(monkeypatch, "fails")
+        summary = exhaustive_verify(5)
+        r13 = summary.claim("R1.3")
+        # ranked prefixes of length 2, 3 and 5 on five candidates
+        assert r13.fails == 20 + 60 + 120 and r13.holds == 5
+        assert summary.must_failures == ["R1.3"]
+        assert summary.to_dict() == oracles.direct_verify(5).to_dict()
+
+    def test_an_unknown_verdict_in_a_plan_is_refused(self, monkeypatch):
+        force_r13(monkeypatch, "maybe")
+        with pytest.raises(ValueError, match=r"^unknown verdict 'maybe'$"):
+            exhaustive_verify(5)
+        stats = ClaimStats("R1.3", *CLAIM_REGISTRY["R1.3"])
+        with pytest.raises(ValueError, match=r"^unknown verdict 'maybe'$"):
+            stats._add("maybe", 200)
+        assert (stats.holds, stats.fails, stats.vacuous, stats.witnesses) == (0, 0, 0, [])
+
+    def test_rows_are_built_per_evaluated_ballot(self, monkeypatch):
+        # Rows and recorded verdicts stay with the 5 evaluated ballots; the
+        # other 1,231 census ballots add only their failing witnesses.
+        blocks, rows, records = [], [], []
+        real_carry, real_record = checks.carry_or_evaluate, ClaimStats.record
+
+        def counted_block(ballot, subject):
+            blocks.append(subject)
+            return checks._claim_block(ballot, subject)
+
+        def counted_carry(*args):
+            out = real_carry(*args)
+            rows.extend(out[0])
+            return out
+
+        def counted_record(self, *args):
+            records.append(args)
+            real_record(self, *args)
+
+        monkeypatch.setattr(enumeration, "_claim_block", counted_block)
+        monkeypatch.setattr(enumeration, "carry_or_evaluate", counted_carry)
+        monkeypatch.setattr(ClaimStats, "record", counted_record)
+        summary = exhaustive_verify(6)
+        assert summary.ballot_count == 1236 and len(blocks) == 5
+        assert len(rows) <= 12 * len(blocks) and len(records) <= 12 * len(blocks)
