@@ -30,13 +30,13 @@ from .order import (
 from .representation import (
     PairRecord,
     _disjunction,
+    _first_out_of_position,
     canonical_utility,
     concave_witness,
     is_representation,
     is_submodular,
     pair_record,
     rationalizability_class,
-    subrecord_verdicts,
     verify_concavity,
 )
 
@@ -76,9 +76,10 @@ CLAIM_REGISTRY = {
     "T4": ("spatial witness has exact utilities, an almost-strict class and passes concavity sampling", True),
 }
 
-#: A sub-record sweep costs 2^(pair count), once per ballot shape (ranked
-#: count, unranked count); past this candidate count the record-disjunction
-#: claims are skipped.
+#: Past this candidate count the record-disjunction claims are reported
+#: vacuous.  Both are decided in O(pairs) (``_claim_block``), so the gate
+#: bounds no cost: it keeps the census output of larger n as it is, until
+#: T3 is reported at every n.
 SUBRECORD_SWEEP_MAX_N = 4
 
 
@@ -173,9 +174,10 @@ def _shape_plan(slots: tuple[str, ...], reports: list[ClaimReport]) -> list[tupl
     a ballot relation both members sit in the tied tail, whose slots are in
     label order on every ballot, so the mapped pair is again the first.
     Any other witness (a T1 or P1 pair or triple, or a witness without a
-    ``kind``, such as RAT's classes, T3's records or T4's issues) is either
-    chosen by label order or not mapped by slot, so there is no plan (None)
-    and every ballot of the shape is evaluated directly.
+    ``kind``, such as RAT's classes, T3.full's verdict, T3.sub's pair or
+    T4's issues) is either chosen by label order or not mapped by slot, so
+    there is no plan (None) and every ballot of the shape is evaluated
+    directly.
 
     Each entry is ``(claim, verdict, carry)``: ``carry`` is None for a report
     without a witness, else ``(witness, key, positions, lists)``, which
@@ -311,9 +313,11 @@ def _witness_check(ballot: RankedBallot, record: PairRecord) -> tuple:
 def _claim_block(ballot: RankedBallot, subject: str) -> tuple[list[ClaimReport], None]:
     """Every claim's report on one census ballot, in registry order, evaluated directly.
 
-    ``T3.full`` is decided on the full record, as ``theorem3 --full`` does,
-    and the first five failing sub-records that are not all-unranked are
-    ``T3.sub``'s witnesses.
+    ``T3.full`` is decided on the full record, as ``theorem3 --full`` does.
+    ``T3.sub`` is decided by the position argument
+    (``representation._first_out_of_position``): it holds when every pair of
+    the record respects the ballot's positions, and otherwise fails with the
+    first pair that does not.  No sub-record is walked.
     """
     rel = relation_of(ballot)
     reports = relation_claims(rel, subject)
@@ -330,12 +334,9 @@ def _claim_block(ballot: RankedBallot, subject: str) -> tuple[list[ClaimReport],
 
     if len(rel.candidates) <= SUBRECORD_SWEEP_MAX_N and record.pairs:
         full = _disjunction(ballot, record.pairs)
-        violations = []
-        for chosen, verdict in subrecord_verdicts(ballot):
-            if len(violations) < 5 and not verdict.ok and not verdict.all_unranked:
-                violations.append([list(p) for p in chosen])
+        stray = _first_out_of_position(ballot, record.pairs)
         reports.append(ClaimReport.of("T3.full", subject, full.ok, full.to_dict()))
-        reports.append(ClaimReport.of("T3.sub", subject, not violations, violations))
+        reports.append(ClaimReport.of("T3.sub", subject, stray is None, stray))
     else:
         reports.append(ClaimReport("T3.full", subject, VACUOUS))
         reports.append(ClaimReport("T3.sub", subject, VACUOUS))

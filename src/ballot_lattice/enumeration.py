@@ -162,8 +162,9 @@ def exhaustive_verify(n: int) -> VerificationSummary:
 
     The record-disjunction claims (``T3.*``) run only for
     ``n <= checks.SUBRECORD_SWEEP_MAX_N`` and are vacuous above it:
-    ``T3.full`` is decided on the full record, and ``T3.sub`` walks its
-    ``2^pairs`` sub-records.
+    ``T3.full`` is decided on the full record, and ``T3.sub`` by the
+    position argument (``representation._first_out_of_position``), in
+    O(pairs) without walking a sub-record.
     A summary is returned rather than raising, so callers decide how hard
     to fail; ``summary.ok`` is False exactly when a must-hold claim
     failed somewhere.

@@ -238,8 +238,9 @@ def _disjunction(
 
     # A nonempty pool means the sub-record has a ranked member, so every
     # unranked candidate in it is an extreme point, and with disjunct 1
-    # failed it has an outgoing pair.  Unranked candidates only point at
-    # unranked ones, so the pairs followed from the pool never leave it.
+    # failed it has an outgoing pair.  A ballot's pairs respect its
+    # positions (:func:`_first_out_of_position`), so unranked candidates
+    # only point at unranked ones and the pairs followed never leave them.
     pool = [x for x in outgoing if x in unranked and x in extremes]
     best = None
     for v in pool:
@@ -256,6 +257,35 @@ def _disjunction(
     if best is None:
         return DisjunctionVerdict("fails", None, all_unranked)
     return DisjunctionVerdict("disjunct2", best, all_unranked)
+
+
+def _first_out_of_position(
+    ballot: RankedBallot, pairs: Iterable[tuple[str, str]]
+) -> list[str] | None:
+    """The first pair ``[x, y]`` in sorted order whose target sits above its source, or None.
+
+    Positions are ``order._positions``.  A pair respects them when
+    ``pos[x] <= pos[y]``: no pair leads from an unranked candidate to a
+    ranked one, nor from a ranked candidate to one ranked above it.  Every
+    ballot's record respects them, since ``relation_of`` is built from them.
+
+    Lemma: when every pair of a record respects positions, a nonempty
+    sub-record fails the disjunction (:func:`theorem3_check`) exactly when
+    all its members are unranked.  Such a sub-record has no extreme point
+    and so no pool: it fails on any record.  Otherwise it has a ranked
+    member.  If it has no unranked member, its worst-ranked member is an
+    extreme point, and a pair leaving it would lead to a member ranked
+    below it, so it has none: disjunct 1 holds.  Else every unranked
+    member is an extreme point; either one has no outgoing pair
+    (disjunct 1), or each has one, and the pool is nonempty (disjunct 2).
+    So ``T3.sub`` holds wherever this returns None.  The census decides
+    ``T3.sub`` by it in O(pairs), not by :func:`subrecord_verdicts`'
+    2^pairs walk, and reports a returned pair, where the argument breaks,
+    as the failing witness; tests hold the two to agree on every shape up
+    to five candidates.
+    """
+    pos = _positions(ballot)
+    return next(([x, y] for x, y in sorted(pairs) if pos[y] < pos[x]), None)
 
 
 #: Sweeping every nonempty sub-record is 2^pairs checks;

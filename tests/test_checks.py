@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from ballot_lattice import (
     ClaimReport,
     ConcavityReport,
-    DisjunctionVerdict,
     OrderRelation,
     RankedBallot,
     SpatialWitness,
@@ -383,20 +382,20 @@ class TestCarryOrEvaluate:
 
 class TestClaimBlockFailures:
     def test_failing_sub_record_fails_t3_sub_and_each_ballot_is_evaluated(self, monkeypatch):
-        def one_failure(ballot):
-            chosen = ((ballot.ranked[0], sorted(ballot.unranked)[0]),)
-            yield chosen, DisjunctionVerdict("fails", None, False)
+        # An unranked candidate pointing at the top, as no ballot's record does.
+        def one_stray(ballot, pairs):
+            return [sorted(ballot.unranked)[0], ballot.ranked[0]]
 
-        monkeypatch.setattr(checks, "subrecord_verdicts", one_failure)
+        monkeypatch.setattr(checks, "_first_out_of_position", one_stray)
         rows, calls = carried([parse_ballot(text) for text in ONE_SHAPE], checks._claim_block)
         # T3.sub's witness has no ``kind``, so the shape has no plan
         assert calls == ONE_SHAPE
-        first_pairs = [["a", "b"], ["c", "a"], ["b", "a"]]
-        for ballot_rows, pair in zip(rows, first_pairs):
+        strays = [["b", "a"], ["a", "c"], ["a", "b"]]
+        for ballot_rows, pair in zip(rows, strays):
             t3 = {row["claim"]: row for row in ballot_rows if row["claim"].startswith("T3")}
             assert t3["T3.full"]["verdict"] == "holds"
             assert t3["T3.sub"]["verdict"] == "fails"
-            assert t3["T3.sub"]["witness"] == [[pair]]
+            assert t3["T3.sub"]["witness"] == pair
 
     def test_misplaced_witness_point_fails_t4(self, monkeypatch):
         def shifted(ballot):

@@ -234,12 +234,32 @@ class TestExhaustiveVerify:
         assert stderr_by_hash_seed(script) == {"a b c d e f g"}
 
     def test_relation_built_at_most_four_times_per_ballot(self, relation_builds):
-        # The sub-record sweep builds the ballot's record once, so relation
-        # builds do not grow with the 2^pairs sub-records of a ballot.
+        # Relations are built per evaluated ballot, never per sub-record.
         summary = exhaustive_verify(4)
         assert summary.ok
         assert summary.claim("T3.sub").holds == ballot_count(4)
         assert 0 < len(relation_builds) <= 4 * ballot_count(4)
+
+    def test_t3_is_decided_once_per_shape_without_a_sub_record_walk(self, monkeypatch):
+        # T3.full runs the disjunction on each shape's full record, once;
+        # T3.sub reads the position argument and walks no sub-record.
+        disjunctions, walks = [], []
+        real_disjunction, real_walk = checks._disjunction, representation.subrecord_verdicts
+
+        def counted_disjunction(ballot, pairs):
+            disjunctions.append(format_ballot(ballot))
+            return real_disjunction(ballot, pairs)
+
+        def counted_walk(ballot):
+            walks.append(format_ballot(ballot))
+            return real_walk(ballot)
+
+        monkeypatch.setattr(checks, "_disjunction", counted_disjunction)
+        monkeypatch.setattr(representation, "subrecord_verdicts", counted_walk)
+        summary = exhaustive_verify(4)
+        assert summary.claim("T3.full").holds == summary.claim("T3.sub").holds == ballot_count(4)
+        assert disjunctions == ["a>b~c~d", "a>b>c~d", "a>b>c>d"]
+        assert walks == [] and not hasattr(checks, "subrecord_verdicts")
 
 
 class TestClaimStats:

@@ -28,6 +28,7 @@ from ballot_lattice import (
     theorem3_check,
     verify_concavity,
 )
+from ballot_lattice.representation import _first_out_of_position
 
 
 class TestCanonicalUtility:
@@ -391,18 +392,54 @@ def test_every_shape_through_five_candidates_is_listed():
 
 @pytest.mark.parametrize("text", T3_SHAPE_POSITIONS)
 def test_t3_sweep_facts_by_position(text):
-    # The record is exactly the pairs whose source sits no later, and a
-    # sub-record fails exactly when every member sits in the unranked tail.
+    # The record is exactly the pairs whose source sits no later, so no pair
+    # is out of position, and a sub-record fails exactly when every member
+    # sits in the unranked tail.
     ballot = parse_ballot(text)
     pos = T3_SHAPE_POSITIONS[text]
     assert pair_record(ballot).pairs == {
         (x, y) for x in pos for y in pos if x != y and pos[x] <= pos[y]
     }
+    assert _first_out_of_position(ballot, pair_record(ballot).pairs) is None
     tail = len(ballot.ranked)
     for chosen, verdict in subrecord_verdicts(ballot):
         all_unranked = all(pos[c] == tail for pair in chosen for c in pair)
         assert verdict.all_unranked == all_unranked
         assert verdict.ok != all_unranked
+
+
+def relabeled(ballot):
+    """The ballot with its labels reversed, so that label order differs from slot order."""
+    names = sorted(ballot.candidates)
+    swap = dict(zip(names, reversed(names)))
+    ranked = tuple(swap[c] for c in ballot.ranked)
+    return RankedBallot(ranked, frozenset(swap[c] for c in ballot.unranked))
+
+
+class TestFirstOutOfPosition:
+    @pytest.mark.parametrize("text", T3_SHAPE_POSITIONS)
+    def test_the_argument_equals_the_walk_on_relabeled_ballots(self, text):
+        # test_t3_sweep_facts_by_position checks each shape as listed; here
+        # label order differs from slot order.  No pair is out of position
+        # exactly when the walk finds no failing sub-record that is not
+        # all-unranked.
+        ballot = relabeled(parse_ballot(text))
+        stray = _first_out_of_position(ballot, pair_record(ballot).pairs)
+        walk_holds = all(v.ok or v.all_unranked for _, v in subrecord_verdicts(ballot))
+        assert (stray is None) == walk_holds
+
+    @pytest.mark.parametrize(
+        "pairs, stray",
+        [
+            ({("a", "b"), ("c", "a")}, ["c", "a"]),  # (i): unranked to ranked
+            ({("a", "b"), ("b", "a")}, ["b", "a"]),  # (ii): ranked to one ranked above
+            ({("d", "b"), ("c", "a"), ("b", "a")}, ["b", "a"]),  # several: the first sorted
+            ({("d", "c"), ("c", "a"), ("a", "d")}, ["c", "a"]),  # in-position pairs skipped
+            ({("a", "b"), ("b", "c"), ("c", "d"), ("d", "c")}, None),  # downward and tied
+        ],
+    )
+    def test_hand_built_pair_sets(self, pairs, stray):
+        assert _first_out_of_position(parse_ballot("a>b>c~d"), pairs) == stray
 
 
 class TestConcaveWitness:
